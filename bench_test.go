@@ -274,44 +274,12 @@ func BenchmarkAblation_Codec(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerWorkers runs the mixed flush+compaction workload under
-// the strictly-serial scheduler (workers=1) and the concurrent one
-// (workers=2); the reported stall seconds and inserts/s are the BENCH_PR1
-// comparison (regenerate the committed artifact with
-// `go run ./cmd/pcpbench -schedjson BENCH_PR1.json`).
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	sc := benchScale()
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			var res harness.SchedResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = harness.RunSched(harness.SchedConfig{
-					Device:    "ssd",
-					TimeScale: sc.TimeScale,
-					Entries:   sc.Fig12Entries,
-					Workers:   workers,
-					Engine:    core.Config{Mode: core.ModePCP, CPUDilation: sc.CPUDilation},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.InsertsPerSec, "inserts/s")
-			b.ReportMetric(res.StallSeconds*1000, "stall_ms")
-			b.ReportMetric(float64(res.MaxConcurrentBackground), "max_conc")
-		})
-	}
-}
-
 // BenchmarkParallelWriters measures the group-commit pipeline: N goroutines
 // issuing synchronous Puts against an in-memory store with background work
 // disabled, so only the commit path (WAL append + optional fsync + memtable
 // insert) is on the clock. With SyncWAL on, syncs/commit shows the
 // amortization group commit buys; compare against DisableGroupCommit for
-// the serial baseline (the recorded comparison on the simulated SSD is
-// BENCH_PR2.json, regenerated with `go run ./cmd/pcpbench -writejson
-// BENCH_PR2.json`).
+// the serial baseline.
 func BenchmarkParallelWriters(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, syncWAL := range []bool{false, true} {
@@ -361,8 +329,7 @@ func BenchmarkParallelWriters(b *testing.B) {
 // group-commit benchmark: concurrent writers form commit groups whose
 // entries hash across shards, so the leader's memtable apply fans out to
 // parallel per-shard appliers. shards=1 is the single-skiplist baseline (the
-// pre-sharding behavior); the recorded comparison is BENCH_PR7.json,
-// regenerated with `go run ./cmd/pcpbench -memjson BENCH_PR7.json`.
+// pre-sharding behavior).
 func BenchmarkParallelWritersShards(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, shards := range []int{1, 4, 8} {

@@ -2,26 +2,17 @@
 //
 // Usage:
 //
-//	pcpbench -fig 5            # one figure: 5, 8, 9, 10, 11, 12, model
+//	pcpbench -fig 5            # one figure: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model
 //	pcpbench -fig all          # everything
-//	pcpbench -fig sched        # background-scheduler comparison (workers=1 vs 2)
-//	pcpbench -fig write        # group-commit comparison (grouped vs serial writers)
 //	pcpbench -scale quick      # quick (default) or full
 //	pcpbench -timescale 0.5    # speed up the simulated devices
-//	pcpbench -schedjson f.json # write the scheduler comparison as JSON and exit
-//	pcpbench -writejson f.json # write the group-commit comparison as JSON and exit
-//	pcpbench -crashjson f.json # run the crash-consistency matrix, write the summary, exit
-//	pcpbench -scrubjson f.json # run the bit-rot/scrub/quarantine matrix, write the summary, exit
-//	pcpbench -readjson f.json  # write the read-under-compaction comparison as JSON and exit
-//	pcpbench -memjson f.json   # write the sharded-memtable/allocation comparison as JSON and exit
-//	pcpbench -pipejson f.json  # write the live-pipeline comparison (scp/pcp-fixed/pcp-adaptive) as JSON and exit
-//	pcpbench -policyjson f.json # write the compaction-policy comparison (leveling/lazy-leveling/coldest-range/auto + trivial-move ablation) as JSON and exit
 //
 // Output is the same rows/series the paper plots, as aligned text tables.
+// Store performance (put, get, scan and compaction rates of the whole
+// engine) is measured by the benchmark in bench/, run as `bash bench/run.sh`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,21 +21,9 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model, sched, write, read, mem, pipe, policy, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model, all")
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	timeScale := flag.Float64("timescale", -1, "override simulated-device time scale (1.0 = faithful)")
-	schedJSON := flag.String("schedjson", "", "run the background-scheduler comparison and write it to this file as JSON")
-	writeJSON := flag.String("writejson", "", "run the group-commit comparison and write it to this file as JSON")
-	crashJSON := flag.String("crashjson", "", "run the crash-consistency matrix and write the summary to this file as JSON")
-	readJSON := flag.String("readjson", "", "run the read-under-compaction comparison and write it to this file as JSON")
-	memJSON := flag.String("memjson", "", "run the sharded-memtable/allocation comparison and write it to this file as JSON")
-	pipeJSON := flag.String("pipejson", "", "run the live-pipeline comparison (scp vs pcp-fixed vs pcp-adaptive) and write it to this file as JSON")
-	policyJSON := flag.String("policyjson", "", "run the compaction-policy comparison (incl. trivial-move ablation) and write it to this file as JSON")
-	crashSeed := flag.Int64("crashseed", 1, "base seed for -crashjson cycles")
-	crashSeeds := flag.Int("crashseeds", 200, "number of seeded power-cut cycles for -crashjson")
-	scrubJSON := flag.String("scrubjson", "", "run the bit-rot/scrub/quarantine matrix and write the summary to this file as JSON")
-	scrubSeed := flag.Int64("scrubseed", 1, "base seed for -scrubjson cycles")
-	scrubSeeds := flag.Int("scrubseeds", 24, "number of seeded bit-rot cycles for -scrubjson")
 	flag.Parse()
 
 	var sc harness.Scale
@@ -61,120 +40,21 @@ func main() {
 		sc.TimeScale = *timeScale
 	}
 
-	writeArtifact := func(path string, v any) {
-		out, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: %v\n", err)
-			os.Exit(1)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(path, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", path)
-		os.Stdout.Write(out)
-	}
-	if *schedJSON != "" {
-		cmp, err := harness.RunSchedComparison(sc, "ssd", sc.Fig12Entries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: scheduler comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*schedJSON, cmp)
-		return
-	}
-	if *writeJSON != "" {
-		cmp, err := harness.RunWriteComparison(sc, "ssd", sc.Fig12Entries/2, true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: group-commit comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*writeJSON, cmp)
-		return
-	}
-	if *readJSON != "" {
-		cmp, err := harness.RunReadComparison(sc, "ssd", sc.Fig12Entries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: read comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*readJSON, cmp)
-		return
-	}
-	if *memJSON != "" {
-		ops := 200_000
-		if sc.Name == "full" {
-			ops = 1_000_000
-		}
-		cmp, err := harness.RunMemComparison(ops)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: memtable comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*memJSON, cmp)
-		return
-	}
-	if *pipeJSON != "" {
-		cmp, err := harness.RunPipelineComparison(sc, sc.Fig12Entries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: pipeline comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*pipeJSON, cmp)
-		return
-	}
-	if *policyJSON != "" {
-		cmp, err := harness.RunPolicyComparison(sc, sc.Fig12Entries)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcpbench: policy comparison: %v\n", err)
-			os.Exit(1)
-		}
-		writeArtifact(*policyJSON, cmp)
-		return
-	}
-	if *crashJSON != "" {
-		sum := harness.RunCrashMatrix(*crashSeed, *crashSeeds)
-		writeArtifact(*crashJSON, sum)
-		if sum.Failed > 0 {
-			fmt.Fprintf(os.Stderr, "pcpbench: %d of %d crash cycles failed (seeds %v)\n",
-				sum.Failed, sum.Cycles, sum.FailedSeeds)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scrubJSON != "" {
-		sum := harness.RunScrubMatrix(*scrubSeed, *scrubSeeds)
-		writeArtifact(*scrubJSON, sum)
-		if sum.Failed > 0 {
-			fmt.Fprintf(os.Stderr, "pcpbench: %d of %d scrub cycles failed (seeds %v)\n",
-				sum.Failed, sum.Cycles, sum.FailedSeeds)
-			os.Exit(1)
-		}
-		return
-	}
-
 	type figure struct {
 		name string
 		run  func(harness.Scale) (*harness.Table, error)
 	}
 	figures := map[string][]figure{
-		"5":      {{"5", harness.Fig5}},
-		"8":      {{"8", harness.Fig8}},
-		"9":      {{"9", harness.Fig9}},
-		"10":     {{"10", harness.Fig10}},
-		"11":     {{"11a", harness.Fig11}, {"11b", harness.Fig11b}},
-		"11b":    {{"11b", harness.Fig11b}},
-		"12":     {{"12a-c", harness.Fig12SPPCP}, {"12d-f", harness.Fig12CPPCP}},
-		"12s":    {{"12a-c", harness.Fig12SPPCP}},
-		"12c":    {{"12d-f", harness.Fig12CPPCP}},
-		"model":  {{"model", harness.FigModel}},
-		"sched":  {{"sched", harness.FigSched}},
-		"write":  {{"write", harness.FigWrite}},
-		"read":   {{"read", harness.FigRead}},
-		"mem":    {{"mem", harness.FigMem}},
-		"pipe":   {{"pipe", harness.FigPipe}},
-		"policy": {{"policy", harness.FigPolicy}},
+		"5":     {{"5", harness.Fig5}},
+		"8":     {{"8", harness.Fig8}},
+		"9":     {{"9", harness.Fig9}},
+		"10":    {{"10", harness.Fig10}},
+		"11":    {{"11a", harness.Fig11}, {"11b", harness.Fig11b}},
+		"11b":   {{"11b", harness.Fig11b}},
+		"12":    {{"12a-c", harness.Fig12SPPCP}, {"12d-f", harness.Fig12CPPCP}},
+		"12s":   {{"12a-c", harness.Fig12SPPCP}},
+		"12c":   {{"12d-f", harness.Fig12CPPCP}},
+		"model": {{"model", harness.FigModel}},
 	}
 	var runs []figure
 	if *fig == "all" {

@@ -34,8 +34,9 @@ type PipelineTelemetry struct {
 	// whose compute stage has finished.
 	Subtasks     int
 	SubtasksDone int
-	// ComputeWorkers and IOWorkers are the current stage widths (IOWorkers
-	// covers the read stage; the write stage mirrors it).
+	// ComputeWorkers and IOWorkers are the stage widths last set by init or
+	// a resize, whether or not a drained stage's workers have exited
+	// (IOWorkers covers the read stage; the write stage mirrors it).
 	ComputeWorkers int
 	IOWorkers      int
 	// StageBusy is the busy time accumulated so far by each stage.
@@ -68,7 +69,8 @@ type PipelineGovernor interface {
 // PipelineStats reports a ModePCP run's shape and dynamics.
 type PipelineStats struct {
 	// InitialComputeWorkers/InitialIOWorkers are the starting widths;
-	// Max* the high-water marks; Final* the widths when the run drained.
+	// Max* the high-water marks of running workers; Final* the set widths
+	// when the run drained.
 	InitialComputeWorkers int
 	InitialIOWorkers      int
 	MaxComputeWorkers     int
@@ -92,52 +94,57 @@ type PipelineStats struct {
 // pcpStage tracks one resizable worker set. The mutex covers resize
 // decisions; workers only touch it once per job, between sub-tasks.
 type pcpStage struct {
-	mu    sync.Mutex
-	live  int // running workers
-	quota int // workers asked to retire but not yet exited
-	max   int // high-water mark of live
+	mu     sync.Mutex
+	target int // width set by init and resize: what the stage reports
+	live   int // running workers
+	quota  int // workers asked to retire but not yet exited
+	max    int // high-water mark of live
 
 	lifeNs atomic.Int64 // summed worker lifetimes, for idle accounting
 }
 
 func (s *pcpStage) init(n int) {
-	s.live, s.max = n, n
+	s.target, s.live, s.max = n, n, n
 }
 
-// width is the stage's effective worker count: live minus pending retires.
+// width is the stage's set worker count. Workers that exit because their
+// input drained do not lower it: a read stage that finished while compute
+// and write still hold sub-tasks keeps reporting the width it was given,
+// so the governor never reads a drained stage as one to grow.
 func (s *pcpStage) width() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.live - s.quota
+	return s.target
 }
 
-// resize steers the stage toward target workers. Pending retirements are
+// resize steers the stage toward n workers. Pending retirements are
 // cancelled before new workers spawn; shrinking only queues retire quota —
 // workers leave lazily at their next job boundary. Returns whether the
-// effective width changed.
-func (s *pcpStage) resize(target int, spawn func()) (changed bool) {
+// set width changed.
+func (s *pcpStage) resize(n int, spawn func()) (changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	effective := s.live - s.quota
-	if target == effective {
+	if n == s.target {
 		return false
 	}
-	if target > effective {
-		d := target - effective
-		if cancel := min(d, s.quota); cancel > 0 {
-			s.quota -= cancel
-			d -= cancel
-		}
-		for i := 0; i < d; i++ {
-			s.live++
-			spawn()
-		}
-		if s.live > s.max {
-			s.max = s.live
-		}
+	if n < s.target {
+		s.quota += s.target - n
+		s.target = n
 		return true
 	}
-	s.quota += effective - target
+	d := n - s.target
+	s.target = n
+	if cancel := min(d, s.quota); cancel > 0 {
+		s.quota -= cancel
+		d -= cancel
+	}
+	for i := 0; i < d; i++ {
+		s.live++
+		spawn()
+	}
+	if s.live > s.max {
+		s.max = s.live
+	}
 	return true
 }
 
@@ -159,7 +166,8 @@ func (s *pcpStage) tryRetire() bool {
 	return false
 }
 
-// exited records a worker leaving because its input channel drained.
+// exited records a worker leaving because its input channel drained. It
+// changes only the live count, never the set width.
 func (s *pcpStage) exited() {
 	s.mu.Lock()
 	s.live--

@@ -117,16 +117,40 @@ func TestGovernorResizeMidRun(t *testing.T) {
 	if res.Stats.Mode != ModePCP {
 		t.Errorf("Stats.Mode = %v, want pcp", res.Stats.Mode)
 	}
-	for _, tel := range gov.seen {
+	// Calls are serialized and each verdict is applied before the next call,
+	// so every call sees exactly the widths the previous verdict set, even
+	// after the read stage has drained.
+	want := PipelineResize{Compute: 1, IO: 1}
+	for i, tel := range gov.seen {
 		if tel.SubtasksDone < 1 || tel.SubtasksDone > tel.Subtasks {
 			t.Fatalf("telemetry SubtasksDone %d out of range [1,%d]",
 				tel.SubtasksDone, tel.Subtasks)
 		}
-		if tel.ComputeWorkers < 1 || tel.IOWorkers < 1 {
-			t.Fatalf("telemetry widths %d/%d below 1", tel.ComputeWorkers, tel.IOWorkers)
+		if tel.ComputeWorkers != want.Compute || tel.IOWorkers != want.IO {
+			t.Fatalf("call %d: telemetry widths %d/%d, want the set widths %d/%d",
+				i, tel.ComputeWorkers, tel.IOWorkers, want.Compute, want.IO)
 		}
+		want = gov.script[min(i, len(gov.script)-1)]
 	}
 	assertSameTables(t, "resized", got, ref)
+}
+
+// TestDrainedStageKeepsItsWidth: workers that exit because their input
+// closed leave the stage's set width alone, so a governor consulted after
+// the read stage drained sees the width it set, and a no-change verdict
+// spawns nothing.
+func TestDrainedStageKeepsItsWidth(t *testing.T) {
+	var s pcpStage
+	s.init(2)
+	s.exited()
+	s.exited()
+	if w := s.width(); w != 2 {
+		t.Fatalf("drained stage reports width %d, want its set width 2", w)
+	}
+	spawned := 0
+	if s.resize(2, func() { spawned++ }) || spawned != 0 {
+		t.Fatalf("no-change resize on a drained stage spawned %d workers", spawned)
+	}
 }
 
 // TestGovernorVerdictClamped: absurd governor verdicts are clamped to

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"pcplsm/internal/core"
@@ -72,13 +71,13 @@ func (c CrashConfig) withDefaults() CrashConfig {
 
 // CrashCycleResult summarizes one power-cut/reopen cycle.
 type CrashCycleResult struct {
-	Seed        int64 `json:"seed"`
-	Serial      bool  `json:"serial"`
-	SCP         bool  `json:"scp"`
-	CutOps      int   `json:"cut_ops"`
-	AckedBatch  int   `json:"acked_batches"`
-	Inflight    int   `json:"inflight_batches"`
-	KeysChecked int   `json:"keys_checked"`
+	Seed        int64
+	Serial      bool
+	SCP         bool
+	CutOps      int
+	AckedBatch  int
+	Inflight    int
+	KeysChecked int
 }
 
 // crashWriterLog is what one writer goroutine observed: the batches whose
@@ -342,48 +341,4 @@ func verifyCrashState(db *lsm.DB, logs []*crashWriterLog) (int, error) {
 		return checked, fmt.Errorf("iterator after reopen: %w", err)
 	}
 	return checked, nil
-}
-
-// CrashSummary aggregates a matrix of crash cycles (the pcpbench -crashjson
-// artifact).
-type CrashSummary struct {
-	Cycles       int      `json:"cycles"`
-	Survived     int      `json:"survived"`
-	Failed       int      `json:"failed"`
-	FailedSeeds  []int64  `json:"failed_seeds,omitempty"`
-	Failures     []string `json:"failures,omitempty"`
-	AckedBatches int      `json:"acked_batches"`
-	KeysChecked  int      `json:"keys_checked"`
-	BaseSeed     int64    `json:"base_seed"`
-}
-
-// crashPolicyCycle rotates the compaction-policy dimension across cycles:
-// the auto-tuned default plus each pinned policy.
-var crashPolicyCycle = []string{"", lsm.PolicyLeveling, lsm.PolicyLazyLeveling, lsm.PolicyColdestRange}
-
-// RunCrashMatrix runs n seeded cycles starting at baseSeed, cycling through
-// the commit-mode × compaction-procedure × compaction-policy matrix
-// (grouped/serial commits × parallel-PCP/SCP compactions × auto/pinned
-// policies), and aggregates the outcome.
-func RunCrashMatrix(baseSeed int64, n int) CrashSummary {
-	sum := CrashSummary{BaseSeed: baseSeed}
-	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		res, err := RunCrashCycle(CrashConfig{Seed: seed, Serial: i%2 == 1, SCP: i%4 >= 2,
-			Policy: crashPolicyCycle[i%len(crashPolicyCycle)]})
-		sum.Cycles++
-		sum.AckedBatches += res.AckedBatch
-		sum.KeysChecked += res.KeysChecked
-		if err != nil {
-			sum.Failed++
-			sum.FailedSeeds = append(sum.FailedSeeds, seed)
-			if len(sum.Failures) < 10 {
-				sum.Failures = append(sum.Failures, err.Error())
-			}
-		} else {
-			sum.Survived++
-		}
-	}
-	sort.Slice(sum.FailedSeeds, func(i, j int) bool { return sum.FailedSeeds[i] < sum.FailedSeeds[j] })
-	return sum
 }

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"pcplsm/internal/compress"
 	"pcplsm/internal/core"
 	"pcplsm/internal/model"
 )
@@ -329,32 +327,4 @@ func FigModel(sc Scale) (*Table, error) {
 	}
 	t.Note("paper: practical speedup ≈ ideal −10%% (pipeline fill/drain overhead)")
 	return t, nil
-}
-
-// All runs every figure at the given scale.
-func All(sc Scale) ([]*Table, error) {
-	start := time.Now()
-	var tables []*Table
-	for _, f := range []func(Scale) (*Table, error){
-		Fig5, Fig8, Fig9, Fig10, Fig11, Fig11b, Fig12SPPCP, Fig12CPPCP, FigModel,
-	} {
-		tb, err := f(sc)
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, tb)
-	}
-	if len(tables) > 0 {
-		tables[len(tables)-1].Note("all figures completed in %v", time.Since(start).Round(time.Millisecond))
-	}
-	return tables, nil
-}
-
-// codecByName is a small helper for the ablation benchmarks.
-func codecByName(name string) compress.Codec {
-	k, err := compress.ParseKind(name)
-	if err != nil {
-		panic(err)
-	}
-	return compress.MustByKind(k)
 }

@@ -61,21 +61,21 @@ func (c ScrubConfig) withDefaults() ScrubConfig {
 	return c
 }
 
-// ScrubCycleResult summarizes one cycle (the pcpbench -scrubjson artifact).
+// ScrubCycleResult summarizes one cycle.
 type ScrubCycleResult struct {
-	Seed   int64  `json:"seed"`
-	Serial bool   `json:"serial"`
-	Rotted string `json:"rotted_table"`
+	Seed   int64
+	Serial bool
+	Rotted string
 	// CyclesAtDetection is how many scrub cycles completed between the rot
 	// injection and the quarantine landing: <= 2 means the rot was caught
 	// within one full pass over the tree (the pass in flight at injection
 	// time may already be past the table, so one wrap can intervene).
-	CyclesAtDetection  int64 `json:"cycles_at_detection"`
-	TablesVerified     int64 `json:"tables_verified"`
-	BytesVerified      int64 `json:"bytes_verified"`
-	QuarantinedKeys    int   `json:"quarantined_keys"`
-	HealthyKeys        int   `json:"healthy_keys"`
-	ParanoidRejections int64 `json:"paranoid_rejections"`
+	CyclesAtDetection  int64
+	TablesVerified     int64
+	BytesVerified      int64
+	QuarantinedKeys    int
+	HealthyKeys        int
+	ParanoidRejections int64
 }
 
 // scrubGeometry sizes the store so a short workload yields several tables,
@@ -349,49 +349,4 @@ func runParanoidLeg(cfg ScrubConfig) (int64, error) {
 		}
 	}
 	return s.ParanoidRejections, nil
-}
-
-// ScrubSummary aggregates a matrix of scrub cycles (the pcpbench -scrubjson
-// artifact).
-type ScrubSummary struct {
-	Cycles             int                `json:"cycles"`
-	Survived           int                `json:"survived"`
-	Failed             int                `json:"failed"`
-	FailedSeeds        []int64            `json:"failed_seeds,omitempty"`
-	Failures           []string           `json:"failures,omitempty"`
-	TablesVerified     int64              `json:"tables_verified"`
-	BytesVerified      int64              `json:"bytes_verified"`
-	QuarantinedKeys    int                `json:"quarantined_keys"`
-	HealthyKeys        int                `json:"healthy_keys"`
-	ParanoidRejections int64              `json:"paranoid_rejections"`
-	BaseSeed           int64              `json:"base_seed"`
-	Results            []ScrubCycleResult `json:"results"`
-}
-
-// RunScrubMatrix runs n seeded cycles starting at baseSeed, alternating the
-// commit mode (grouped/serial), and aggregates the outcome.
-func RunScrubMatrix(baseSeed int64, n int) ScrubSummary {
-	sum := ScrubSummary{BaseSeed: baseSeed}
-	for i := 0; i < n; i++ {
-		seed := baseSeed + int64(i)
-		res, err := RunScrubCycle(ScrubConfig{Seed: seed, Serial: i%2 == 1})
-		sum.Cycles++
-		sum.TablesVerified += res.TablesVerified
-		sum.BytesVerified += res.BytesVerified
-		sum.QuarantinedKeys += res.QuarantinedKeys
-		sum.HealthyKeys += res.HealthyKeys
-		sum.ParanoidRejections += res.ParanoidRejections
-		sum.Results = append(sum.Results, res)
-		if err != nil {
-			sum.Failed++
-			sum.FailedSeeds = append(sum.FailedSeeds, seed)
-			if len(sum.Failures) < 10 {
-				sum.Failures = append(sum.Failures, err.Error())
-			}
-		} else {
-			sum.Survived++
-		}
-	}
-	sort.Slice(sum.FailedSeeds, func(i, j int) bool { return sum.FailedSeeds[i] < sum.FailedSeeds[j] })
-	return sum
 }

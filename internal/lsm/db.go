@@ -1162,9 +1162,8 @@ func keyRange(tables []*TableMeta) (smallest, largest []byte) {
 
 // runCompaction executes a picked compaction with the configured procedure
 // and installs the result. The claim's pipeline lease (when present)
-// overrides the configured stage widths with the granted budget and, unless
-// adaptive resizing is disabled, attaches the pilot that resizes the
-// pipeline mid-run within that budget.
+// overrides the configured stage widths with the granted budget and
+// attaches the pilot that resizes the pipeline mid-run within that budget.
 func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error {
 	all := append(append([]*TableMeta(nil), pc.inputs...), pc.overlap...)
 	sources := make([]*core.TableSource, 0, len(all))
@@ -1194,9 +1193,7 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 	cfg := db.opts.Compaction
 	if claim != nil && claim.lease != nil {
 		cfg.ComputeParallel, cfg.IOParallel = claim.lease.widths()
-		if !db.opts.DisableAdaptiveCompaction {
-			cfg.Governor = &adaptivePilot{lease: claim.lease, stats: &db.stats}
-		}
+		cfg.Governor = &adaptivePilot{lease: claim.lease, stats: &db.stats}
 	}
 	db.mu.Lock()
 	cfg.RetainSeq = db.smallestSnapshot()

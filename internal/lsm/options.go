@@ -106,11 +106,6 @@ type Options struct {
 	// PipelineIOTokens sizes the matching I/O-token pool (one token per
 	// unit of IOParallel — a read+write worker pair). 0 selects 4.
 	PipelineIOTokens int
-	// DisableAdaptiveCompaction keeps each pipelined compaction's leased
-	// worker widths fixed for its whole run instead of letting the adaptive
-	// pilot resize the pipeline between sub-tasks from the measured stage
-	// balance. The token accounting still applies.
-	DisableAdaptiveCompaction bool
 
 	// L0CompactionTrigger is the L0 table count that schedules a compaction
 	// (default 4).

@@ -436,32 +436,83 @@ func TestTrivialMoveGuards(t *testing.T) {
 }
 
 // TestTrivialMovesHappenOnSequentialLoad is the end-to-end check: a
-// sequential insert load creates non-overlapping tables all the way down,
-// so the background scheduler should install some of them as trivial
-// moves instead of rewriting.
+// sequential insert load builds non-overlapping tables all the way down, so
+// once L1 overflows the picker's choice is a single table with nothing
+// under it, which the background step installs as a trivial move instead
+// of rewriting. The tree is built with auto compaction off and the picker
+// pass is driven by hand, as backgroundStep runs it, so the outcome does
+// not depend on how many L0 tables a racing background worker sees.
 func TestTrivialMovesHappenOnSequentialLoad(t *testing.T) {
 	opts := smallOpts(storage.NewMemFS())
 	opts.CompactionPolicy = PolicyLeveling
+	opts.DisableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
 
+	// Each round stays well under the memtable size, so Flush writes one L0
+	// table and CompactLevel(0) appends it to L1.
 	val := bytes.Repeat([]byte("v"), 128)
-	for i := 0; i < 3000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("seq%08d", i)), val); err != nil {
+	key := 0
+	for round := 0; db.Version().LevelSize(1) < db.opts.maxLevelSize(1); round++ {
+		if round == 200 {
+			t.Fatalf("setup: L1 holds %d bytes after %d rounds", db.Version().LevelSize(1), round)
+		}
+		for i := 0; i < 100; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("seq%08d", key)), val); err != nil {
+				t.Fatal(err)
+			}
+			key++
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactLevel(0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
+
+	db.mu.Lock()
+	pc := db.pickCompaction(db.vs.Current())
+	if pc == nil {
+		db.mu.Unlock()
+		t.Fatal("picker found no work with L1 over its size")
+	}
+	claim := db.tryClaimCompaction(pc)
+	if claim == nil {
+		db.mu.Unlock()
+		t.Fatal("claim failed")
+	}
+	trivial := db.trivialMoveOK(pc)
+	db.mu.Unlock()
+	var err error
+	if trivial {
+		err = db.runTrivialMove(pc)
+	}
+	db.mu.Lock()
+	db.releaseCompaction(claim)
+	db.mu.Unlock()
+	if !trivial {
+		t.Fatalf("pick L%d with %d inputs and %d overlapping tables is not a trivial move",
+			pc.level, len(pc.inputs), len(pc.overlap))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.WaitIdle(); err != nil {
-		t.Fatal(err)
+
+	if s := db.Stats(); s.TrivialMoves != 1 || s.TrivialMoveBytes != pc.inputs[0].Size {
+		t.Fatalf("TrivialMoves=%d bytes=%d, want 1/%d", s.TrivialMoves, s.TrivialMoveBytes, pc.inputs[0].Size)
 	}
-	s := db.Stats()
-	if s.TrivialMoves == 0 {
-		t.Fatalf("sequential load produced no trivial moves (compactions=%d)", s.Compactions)
+	v := db.Version()
+	found := false
+	for _, tab := range v.Levels[pc.level+1] {
+		if tab.Num == pc.inputs[0].Num {
+			found = true
+		}
 	}
-	if err := db.Version().checkInvariants(); err != nil {
+	if !found {
+		t.Fatalf("table %d not in L%d after the move", pc.inputs[0].Num, pc.level+1)
+	}
+	if err := v.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
