@@ -61,9 +61,8 @@ type DB struct {
 	tuner         *policyTuner
 	lastTuneStats Stats
 
-	// installMu serializes version-edit application with the matching
-	// manifest append, so the journal replays in the same order the
-	// versions were installed even with concurrent installers.
+	// installMu serializes logAndApply, so the journal replays in the same
+	// order the edits were applied even with concurrent installers.
 	installMu sync.Mutex
 
 	// Commit pipeline (see commit.go). commitMu serializes commit groups
@@ -240,40 +239,19 @@ func Open(opts Options) (*DB, error) {
 		if ferr != nil {
 			return nil, fmt.Errorf("lsm: flushing recovered memtable: %w", ferr)
 		}
-		edit := NewVersionEdit()
-		edit.AddTable(0, meta)
-		db.vs.Apply(edit)
+		// Not journaled: the snapshot below supersedes the old manifest.
+		if err := db.applyEdit(&VersionEdit{Added: map[int][]*TableMeta{0: {meta}}}); err != nil {
+			return nil, err
+		}
 		db.mem = db.newMemtable()
 	}
 
-	// Compact the whole recovered state into one snapshot record and install
+	// Compact the whole recovered state into one snapshot edit and install
 	// it by atomic rename. A crash at any instant leaves either the old
 	// manifest — with the old WALs it implies still on disk, since obsolete
 	// files are only removed below — or the complete new one. This also
 	// bounds manifest growth across restarts.
-	rec := &manifestRecord{WALNum: num, Seq: db.seq, NextFile: db.vs.NewFileNum()}
-	for level, tables := range db.vs.Current().Levels {
-		if len(tables) > 0 {
-			if rec.Added == nil {
-				rec.Added = map[int][]manifestTable{}
-			}
-			rec.Added[level] = toManifestTables(tables)
-		}
-	}
-	for level, ptr := range db.compactPtr {
-		if ptr != nil {
-			if rec.CompactPtr == nil {
-				rec.CompactPtr = map[int][]byte{}
-			}
-			rec.CompactPtr[level] = ptr
-		}
-	}
-	for num := range db.quarantine {
-		rec.Quarantined = append(rec.Quarantined, num)
-	}
-	sort.Slice(rec.Quarantined, func(i, j int) bool { return rec.Quarantined[i] < rec.Quarantined[j] })
-	rec.ScrubCursor = db.scrubCursor
-	if err := rewriteManifest(db.fs, rec); err != nil {
+	if err := rewriteManifest(db.fs, db.snapshotEdit(num)); err != nil {
 		return nil, err
 	}
 	man, err := openManifest(db.fs)
@@ -308,46 +286,9 @@ func (db *DB) recover() error {
 		if err != nil {
 			return fmt.Errorf("lsm: replaying manifest: %w", err)
 		}
-		for _, rec := range edits {
-			edit := NewVersionEdit()
-			for level, tables := range rec.Added {
-				for _, t := range tables {
-					meta := fromManifestTable(t)
-					edit.AddTable(level, meta)
-					db.vs.bumpFileNum(meta.Num)
-				}
-			}
-			for level, nums := range rec.Deleted {
-				for _, n := range nums {
-					edit.DeleteTable(level, n)
-				}
-			}
-			// Restore the round-robin cursors so file picking resumes where
-			// the previous incarnation left off instead of resetting to the
-			// start of every level.
-			for level, ptr := range rec.CompactPtr {
-				if level >= 0 && level < NumLevels && len(ptr) > 0 {
-					db.compactPtr[level] = append([]byte(nil), ptr...)
-				}
-			}
-			// Quarantine replay keeps the union of every record (tables are
-			// only de-quarantined by leaving the version, handled below);
-			// mutating in place is fine here — recovery is single-threaded.
-			for _, n := range rec.Quarantined {
-				db.quarantine[n] = struct{}{}
-			}
-			if rec.ScrubCursor > 0 {
-				db.scrubCursor = rec.ScrubCursor
-			}
-			db.vs.Apply(edit)
-			if rec.WALNum > 0 {
-				db.vs.bumpFileNum(rec.WALNum)
-			}
-			if rec.Seq > db.seq {
-				db.seq = rec.Seq
-			}
-			if rec.NextFile > 0 {
-				db.vs.bumpFileNum(rec.NextFile - 1)
+		for _, e := range edits {
+			if err := db.applyEdit(e); err != nil {
+				return fmt.Errorf("lsm: replaying manifest: %w", err)
 			}
 		}
 		if err := db.vs.Current().checkInvariants(); err != nil {
@@ -496,33 +437,109 @@ func (db *DB) noteTableReadError(num uint64, err error) error {
 
 // quarantineTable isolates table num after a failed verification: reads
 // covering its range fail with ErrQuarantined, the compaction picker skips
-// it, and the manifest journals it so the quarantine survives reopen. The
-// quarantine set is replaced copy-on-write so read paths can keep a
-// snapshot reference without locking.
+// it, and the manifest journals it so the quarantine survives reopen.
 func (db *DB) quarantineTable(num uint64, cause error) {
 	db.mu.Lock()
-	if _, dup := db.quarantine[num]; dup {
-		db.mu.Unlock()
+	_, dup := db.quarantine[num]
+	db.mu.Unlock()
+	if dup {
 		return
 	}
-	next := make(map[uint64]struct{}, len(db.quarantine)+1)
-	for n := range db.quarantine {
-		next[n] = struct{}{}
-	}
-	next[num] = struct{}{}
-	db.quarantine = next
-	db.stats.setQuarantined(int64(len(next)))
-	db.mu.Unlock()
 	db.opts.logf("lsm: table %s quarantined: %v", TableFileName(num), cause)
+	// The error needs no handling here: a failed append turns the store
+	// read-only inside logAndApply, and reads that trip on the unquarantined
+	// table still fail with a typed corruption error.
+	_ = db.logAndApply(&VersionEdit{Quarantined: []uint64{num}})
+}
+
+// logAndApply installs e: it journals the edit durably, then applies it in
+// memory, so memory never holds a change a reopen would not replay. A
+// failed append leaves memory untouched and degrades the store to read-only
+// (the journal may now end in a torn line). installMu keeps the journal
+// order equal to the order edits are applied across concurrent installers.
+func (db *DB) logAndApply(e *VersionEdit) error {
 	db.installMu.Lock()
-	aerr := db.man.append(&manifestRecord{Quarantined: []uint64{num}})
-	db.installMu.Unlock()
-	if aerr != nil {
-		// The quarantine could not be journaled: without it a reopen would
-		// silently serve the damaged table again, so fall back to the
-		// store-wide sticky degradation.
-		db.setBgErr(aerr)
+	defer db.installMu.Unlock()
+	if err := db.man.append(e); err != nil {
+		db.setBgErr(&backgroundError{cause: err})
+		return err
 	}
+	db.mu.Lock()
+	err := db.applyEdit(e)
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return db.vs.Current().checkInvariants()
+}
+
+// applyEdit folds e into memory: the version, the file-number allocator,
+// the sequence checkpoint, the compaction cursors, the quarantine set and
+// the scrub cursor. It is the only caller of vs.Apply. An invalid edit is
+// rejected before anything changes. Called with db.mu held (or from the
+// single-threaded Open).
+func (db *DB) applyEdit(e *VersionEdit) error {
+	if err := e.validate(); err != nil {
+		return err
+	}
+	for _, tables := range e.Added {
+		for _, t := range tables {
+			db.vs.bumpFileNum(t.Num)
+		}
+	}
+	if e.WALNum > 0 {
+		db.vs.bumpFileNum(e.WALNum)
+	}
+	if e.NextFile > 0 {
+		db.vs.bumpFileNum(e.NextFile - 1)
+	}
+	db.seq = max(db.seq, e.Seq)
+	for level, ptr := range e.CompactPtr {
+		if len(ptr) > 0 {
+			db.compactPtr[level] = append([]byte(nil), ptr...)
+		}
+	}
+	if len(e.Quarantined) > 0 {
+		// Replace the set copy-on-write: read paths hold the old map
+		// without the lock.
+		next := make(map[uint64]struct{}, len(db.quarantine)+len(e.Quarantined))
+		for n := range db.quarantine {
+			next[n] = struct{}{}
+		}
+		for _, n := range e.Quarantined {
+			next[n] = struct{}{}
+		}
+		db.quarantine = next
+		db.stats.setQuarantined(int64(len(next)))
+	}
+	if e.ScrubCursor > 0 {
+		db.scrubCursor = e.ScrubCursor
+	}
+	db.vs.Apply(e)
+	return nil
+}
+
+// snapshotEdit renders the whole current state as one edit whose replay
+// into an empty store reproduces it, with walNum as the live WAL. Open
+// journals it as the manifest's only line.
+func (db *DB) snapshotEdit(walNum uint64) *VersionEdit {
+	e := &VersionEdit{Added: map[int][]*TableMeta{}, WALNum: walNum, Seq: db.seq,
+		NextFile: db.vs.NewFileNum(), CompactPtr: map[int][]byte{}, ScrubCursor: db.scrubCursor}
+	for level, tables := range db.vs.Current().Levels {
+		if len(tables) > 0 {
+			e.Added[level] = tables
+		}
+	}
+	for level, ptr := range db.compactPtr {
+		if ptr != nil {
+			e.CompactPtr[level] = ptr
+		}
+	}
+	for num := range db.quarantine {
+		e.Quarantined = append(e.Quarantined, num)
+	}
+	sort.Slice(e.Quarantined, func(i, j int) bool { return e.Quarantined[i] < e.Quarantined[j] })
+	return e
 }
 
 // quarantinedLocked reports whether table num is quarantined. Called with
@@ -1055,8 +1072,6 @@ func (db *DB) flushMemtable(imm *memtable.Memtable, oldWAL uint64) error {
 	if err != nil {
 		return err
 	}
-	edit := NewVersionEdit()
-	edit.AddTable(0, meta)
 	// Checkpoint the sequence number: this flush deletes its WAL, and the
 	// live WAL may stay empty until the next write, so without the
 	// checkpoint a reopen would resurrect a lower sequence counter — new
@@ -1064,16 +1079,12 @@ func (db *DB) flushMemtable(imm *memtable.Memtable, oldWAL uint64) error {
 	db.mu.Lock()
 	seqNow := db.seq
 	db.mu.Unlock()
-	db.installMu.Lock()
-	v := db.vs.Apply(edit)
-	aerr := db.man.append(&manifestRecord{
-		Added:    map[int][]manifestTable{0: toManifestTables([]*TableMeta{meta})},
+	if err := db.logAndApply(&VersionEdit{
+		Added:    map[int][]*TableMeta{0: {meta}},
 		Seq:      seqNow,
 		NextFile: db.vs.NewFileNum(),
-	})
-	db.installMu.Unlock()
-	if aerr != nil {
-		return aerr
+	}); err != nil {
+		return err
 	}
 	db.fs.Remove(walFileName(oldWAL))
 	db.stats.update(func(s *Stats) {
@@ -1082,7 +1093,7 @@ func (db *DB) flushMemtable(imm *memtable.Memtable, oldWAL uint64) error {
 		s.FlushWall += time.Since(start)
 	})
 	db.opts.logf("lsm: flushed memtable to %s (%d bytes, L0 now %d tables)",
-		meta.FileName(), meta.Size, len(v.Levels[0]))
+		meta.FileName(), meta.Size, len(db.vs.Current().Levels[0]))
 	// More work may now be due.
 	db.nudge()
 	return nil
@@ -1276,17 +1287,14 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 		return err
 	}
 
-	edit := NewVersionEdit()
 	outMetas := make([]*TableMeta, 0, len(res.Outputs))
 	for _, o := range res.Outputs {
 		num, perr := parseTableNum(o.Name)
 		if perr != nil {
 			return perr
 		}
-		meta := &TableMeta{Num: num, Size: o.Meta.FileSize, Entries: o.Meta.Entries,
-			Smallest: o.Meta.Smallest, Largest: o.Meta.Largest, Digest: o.Meta.Digest}
-		outMetas = append(outMetas, meta)
-		edit.AddTable(pc.level+1, meta)
+		outMetas = append(outMetas, &TableMeta{Num: num, Size: o.Meta.FileSize, Entries: o.Meta.Entries,
+			Smallest: o.Meta.Smallest, Largest: o.Meta.Largest, Digest: o.Meta.Digest})
 	}
 	if db.opts.ParanoidChecks {
 		// Verify-before-install: every output must re-read clean before the
@@ -1301,42 +1309,20 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 			}
 		}
 	}
-	for _, t := range pc.inputs {
-		edit.DeleteTable(pc.level, t.Num)
-	}
-	for _, t := range pc.overlap {
-		edit.DeleteTable(pc.level+1, t.Num)
-	}
-
-	rec := &manifestRecord{
-		Added:   map[int][]manifestTable{pc.level + 1: toManifestTables(outMetas)},
+	edit := &VersionEdit{
+		Added:   map[int][]*TableMeta{pc.level + 1: outMetas},
 		Deleted: map[int][]uint64{},
 	}
 	for _, t := range pc.inputs {
-		rec.Deleted[pc.level] = append(rec.Deleted[pc.level], t.Num)
+		edit.Deleted[pc.level] = append(edit.Deleted[pc.level], t.Num)
 	}
 	for _, t := range pc.overlap {
-		rec.Deleted[pc.level+1] = append(rec.Deleted[pc.level+1], t.Num)
+		edit.Deleted[pc.level+1] = append(edit.Deleted[pc.level+1], t.Num)
 	}
-
-	// Install version edit and manifest record as one unit: concurrent
-	// installers (a flush, or a compaction on a disjoint level pair) must
-	// journal in the same order their versions become current.
-	db.installMu.Lock()
-	db.mu.Lock()
-	nv := db.vs.Apply(edit)
 	if pc.level > 0 && len(pc.inputs) > 0 {
-		db.compactPtr[pc.level] = append([]byte(nil),
-			pc.inputs[len(pc.inputs)-1].Largest...)
-		rec.CompactPtr = map[int][]byte{pc.level: db.compactPtr[pc.level]}
+		edit.CompactPtr = map[int][]byte{pc.level: pc.inputs[len(pc.inputs)-1].Largest}
 	}
-	db.mu.Unlock()
-	aerr := db.man.append(rec)
-	db.installMu.Unlock()
-	if aerr != nil {
-		return aerr
-	}
-	if err := nv.checkInvariants(); err != nil {
+	if err := db.logAndApply(edit); err != nil {
 		return err
 	}
 
@@ -1376,33 +1362,19 @@ func (db *DB) trivialMoveOK(pc *pickedCompaction) bool {
 }
 
 // runTrivialMove installs pc's single input one level down as a pure
-// version edit plus manifest record — no table I/O, no new file number, no
-// cache eviction. The caller holds pc's claim and releases it afterwards,
-// exactly like runCompaction.
+// version edit — no table I/O, no new file number, no cache eviction. The
+// caller holds pc's claim and releases it afterwards, exactly like
+// runCompaction.
 func (db *DB) runTrivialMove(pc *pickedCompaction) error {
 	t := pc.inputs[0]
-	edit := NewVersionEdit()
-	edit.DeleteTable(pc.level, t.Num)
-	edit.AddTable(pc.level+1, t)
-	rec := &manifestRecord{
-		Added:   map[int][]manifestTable{pc.level + 1: toManifestTables([]*TableMeta{t})},
+	edit := &VersionEdit{
+		Added:   map[int][]*TableMeta{pc.level + 1: {t}},
 		Deleted: map[int][]uint64{pc.level: {t.Num}},
 	}
-
-	db.installMu.Lock()
-	db.mu.Lock()
-	nv := db.vs.Apply(edit)
 	if pc.level > 0 {
-		db.compactPtr[pc.level] = append([]byte(nil), t.Largest...)
-		rec.CompactPtr = map[int][]byte{pc.level: db.compactPtr[pc.level]}
+		edit.CompactPtr = map[int][]byte{pc.level: t.Largest}
 	}
-	db.mu.Unlock()
-	aerr := db.man.append(rec)
-	db.installMu.Unlock()
-	if aerr != nil {
-		return aerr
-	}
-	if err := nv.checkInvariants(); err != nil {
+	if err := db.logAndApply(edit); err != nil {
 		return err
 	}
 	db.stats.addTrivialMove(t.Size)

@@ -521,3 +521,62 @@ func TestWALTornTailRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedManifestAppendChangesNothing: when the manifest append of a
+// live flush or compaction fails, the edit is not applied — the version is
+// the one before the unit ran — the store turns read-only, and a reopen
+// returns every acknowledged key.
+func TestFailedManifestAppendChangesNothing(t *testing.T) {
+	for _, unit := range []string{"flush", "compaction"} {
+		t.Run(unit, func(t *testing.T) {
+			inner := storage.NewMemFS()
+			fault := storage.NewFaultFS(inner)
+			opts := smallOpts(fault)
+			opts.DisableAutoCompaction = true
+			db := mustOpen(t, opts)
+			const n = 300
+			key := func(i int) []byte { return []byte(fmt.Sprintf("fa%04d", i)) }
+			for i := 0; i < n; i++ {
+				if err := db.Put(key(i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				if unit == "compaction" && i%100 == 99 {
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before := db.Version()
+
+			fault.ArmFault(storage.Fault{Op: storage.FaultWrite, Suffix: "MANIFEST"})
+			var err error
+			if unit == "flush" {
+				err = db.Flush()
+			} else {
+				err = db.CompactLevel(0)
+			}
+			if err == nil || fault.Hits(storage.FaultWrite) != 1 {
+				t.Fatalf("%s with a failing manifest append = %v (%d faults fired)",
+					unit, err, fault.Hits(storage.FaultWrite))
+			}
+			if after := db.Version(); after != before {
+				t.Fatalf("failed %s changed the version:\n%s->\n%s", unit, versionDump(before), versionDump(after))
+			}
+			if err := db.Put([]byte("after"), []byte("v")); !errors.Is(err, ErrBackgroundError) {
+				t.Fatalf("Put after a failed manifest append = %v, want sticky ErrBackgroundError", err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			opts.FS = inner
+			db = mustOpen(t, opts)
+			defer db.Close()
+			for i := 0; i < n; i++ {
+				if _, err := db.Get(key(i)); err != nil {
+					t.Fatalf("acknowledged key %s after reopen: %v", key(i), err)
+				}
+			}
+		})
+	}
+}

@@ -11,55 +11,22 @@ import (
 	"pcplsm/internal/storage"
 )
 
-// The manifest is an append-only journal of version edits plus WAL/sequence
-// checkpoints, one JSON object per line. Replaying it reconstructs the
-// table layout after a restart. JSON keeps the format debuggable; manifest
+// The manifest is an append-only journal of version edits, one JSON-encoded
+// VersionEdit per line. Replaying it reconstructs the table layout and the
+// checkpoints after a restart. JSON keeps the format debuggable; manifest
 // volume is tiny next to table data, so encoding efficiency is irrelevant.
 
 const manifestName = "MANIFEST"
 
-// manifestRecord is one journal line.
-type manifestRecord struct {
-	// Added and Deleted mirror VersionEdit.
-	Added   map[int][]manifestTable `json:"added,omitempty"`
-	Deleted map[int][]uint64        `json:"deleted,omitempty"`
-	// WALNum points at the live WAL file after this edit.
-	WALNum uint64 `json:"wal,omitempty"`
-	// Seq checkpoints the sequence number (recovery resumes above it).
-	Seq uint64 `json:"seq,omitempty"`
-	// NextFile checkpoints the file-number allocator.
-	NextFile uint64 `json:"next_file,omitempty"`
-	// CompactPtr journals per-level round-robin compaction cursors (the
-	// largest key compacted from that level), so file rotation resumes
-	// where it left off instead of resetting on every reopen.
-	CompactPtr map[int][]byte `json:"compact_ptr,omitempty"`
-	// Quarantined journals table numbers newly marked quarantined by a
-	// failed verification, so the scoped degradation survives reopen.
-	// Replay keeps the union of all quarantine records, intersected with
-	// the tables still live at the end.
-	Quarantined []uint64 `json:"quarantined,omitempty"`
-	// ScrubCursor checkpoints the background scrub worker's position (the
-	// last table number verified), so a cycle resumes where it left off
-	// instead of restarting from the lowest-numbered table on reopen.
-	ScrubCursor uint64 `json:"scrub_cursor,omitempty"`
-}
-
-// manifestTable is the JSON form of TableMeta.
-type manifestTable struct {
-	Num      uint64 `json:"num"`
-	Size     int64  `json:"size"`
-	Entries  int64  `json:"entries"`
-	Smallest []byte `json:"smallest"`
-	Largest  []byte `json:"largest"`
-	// Digest is the whole-file CRC32-C recorded at creation; 0 for tables
-	// journaled before digests existed.
-	Digest uint32 `json:"digest,omitempty"`
-}
-
-// manifest appends records durably.
+// manifest appends edits durably.
 type manifest struct {
 	mu sync.Mutex
 	f  storage.File
+	// failed is the first append error. Once set, every later append
+	// returns it: the failed write may have left a partial line, and a
+	// record appended after it would turn that torn tail into damage in
+	// the middle of the journal, which replay rejects.
+	failed error
 }
 
 // openManifest opens or creates the manifest file.
@@ -80,33 +47,35 @@ func openManifest(fs storage.FS) (*manifest, error) {
 	return &manifest{f: f}, nil
 }
 
-// append writes one record and syncs. I/O failures are marked permanent:
-// the write may have left a partial line that nothing can truncate away
-// until the next recovery, so retrying a later append could interleave
-// records into garbage.
-func (m *manifest) append(rec *manifestRecord) error {
-	data, err := json.Marshal(rec)
+// append writes one edit and syncs. I/O failures are marked permanent and
+// sticky: the write may have left a partial line that nothing can truncate
+// away until the next recovery.
+func (m *manifest) append(e *VersionEdit) error {
+	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("lsm: encoding manifest record: %w", err)
 	}
 	data = append(data, '\n')
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.f.Write(data); err != nil {
-		return markPermanent(err)
+	if m.failed != nil {
+		return m.failed
 	}
-	if err := m.f.Sync(); err != nil {
-		return markPermanent(err)
+	if _, err = m.f.Write(data); err == nil {
+		err = m.f.Sync()
 	}
-	return nil
+	if err != nil {
+		m.failed = markPermanent(err)
+	}
+	return m.failed
 }
 
-// rewriteManifest replaces the manifest with the single snapshot record rec
+// rewriteManifest replaces the manifest with the single snapshot edit e
 // via write-to-temporary, sync, and atomic rename. A crash before the
 // rename leaves the old manifest (and the WALs it implies) fully intact; a
 // crash after it finds the compacted snapshot.
-func rewriteManifest(fs storage.FS, rec *manifestRecord) error {
-	data, err := json.Marshal(rec)
+func rewriteManifest(fs storage.FS, e *VersionEdit) error {
+	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("lsm: encoding manifest snapshot: %w", err)
 	}
@@ -119,47 +88,37 @@ func rewriteManifest(fs storage.FS, rec *manifestRecord) error {
 
 func (m *manifest) close() error { return m.f.Close() }
 
-// replayManifest reads every record, returning the reconstructed state. A
-// truncated final line (torn write) is tolerated: replay stops there.
-func replayManifest(fs storage.FS) (edits []*manifestRecord, err error) {
+// replayManifest decodes every edit in journal order. Blank lines are
+// skipped. Only the last non-blank line may fail to decode: that is a torn
+// append, and replay keeps everything before it, which was synced. A bad
+// line with more records after it is damage in the middle of the journal
+// and fails with ErrCorruption — dropping it would silently orphan the
+// tables it and its successors reference.
+func replayManifest(fs storage.FS) ([]*VersionEdit, error) {
 	data, err := storage.ReadAll(fs, manifestName)
 	if err != nil {
 		return nil, err
 	}
+	var edits []*VersionEdit
+	var torn error // decode failure of the last non-blank line so far
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+	for line := 1; sc.Scan(); line++ {
+		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var rec manifestRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn tail ends replay; everything before it is intact
-			// because records are appended with sync.
-			break
+		if torn != nil {
+			return nil, torn
 		}
-		cp := rec
-		edits = append(edits, &cp)
+		e := new(VersionEdit)
+		if err := json.Unmarshal(sc.Bytes(), e); err != nil {
+			torn = fmt.Errorf("%w: manifest line %d is damaged and not the last: %v", ErrCorruption, line, err)
+			continue
+		}
+		edits = append(edits, e)
 	}
 	if err := sc.Err(); err != nil && err != io.EOF {
 		return nil, err
 	}
 	return edits, nil
-}
-
-// toManifestTables converts metas for journaling.
-func toManifestTables(ts []*TableMeta) []manifestTable {
-	out := make([]manifestTable, len(ts))
-	for i, t := range ts {
-		out[i] = manifestTable{Num: t.Num, Size: t.Size, Entries: t.Entries,
-			Smallest: t.Smallest, Largest: t.Largest, Digest: t.Digest}
-	}
-	return out
-}
-
-// fromManifestTable converts back to a TableMeta.
-func fromManifestTable(t manifestTable) *TableMeta {
-	return &TableMeta{Num: t.Num, Size: t.Size, Entries: t.Entries,
-		Smallest: t.Smallest, Largest: t.Largest, Digest: t.Digest}
 }

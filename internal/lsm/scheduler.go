@@ -23,9 +23,10 @@ package lsm
 // and so obsolete-file deletion can see exactly which tables are pinned by
 // in-flight work.
 //
-// Version edits and their manifest records are installed under a dedicated
-// installMu so the journal order always matches the in-memory version
-// order, even with concurrent installers.
+// Every unit installs its result through logAndApply (db.go): the version
+// edit is journaled in the manifest first and applied in memory second,
+// both under installMu, so the journal order always matches the in-memory
+// version order, even with concurrent installers.
 
 import (
 	"time"

@@ -164,24 +164,6 @@ func (db *DB) scrubTable(t *TableMeta, level int) TableScrubResult {
 	return res
 }
 
-// persistScrubCursor journals the scrub worker's position so a cycle
-// resumes where it left off across reopen instead of restarting at the
-// lowest-numbered table.
-func (db *DB) persistScrubCursor(num uint64) {
-	db.mu.Lock()
-	db.scrubCursor = num
-	db.mu.Unlock()
-	db.installMu.Lock()
-	err := db.man.append(&manifestRecord{ScrubCursor: num})
-	db.installMu.Unlock()
-	if err != nil {
-		// append marks manifest I/O failures permanent: the journal may hold
-		// a torn line nothing can truncate until recovery, so later appends
-		// must not run. Same degradation as any other manifest failure.
-		db.setBgErr(&backgroundError{cause: err})
-	}
-}
-
 // nextScrubTarget picks the live, non-quarantined table with the smallest
 // number above the cursor; with none left it wraps to the smallest overall
 // and reports the wrap (one full cycle completed). Called with db.mu held.
@@ -239,7 +221,8 @@ func (db *DB) scrubStep() int64 {
 		db.stats.addScrubCycle()
 	}
 	res := db.scrubTable(t, level)
-	db.persistScrubCursor(t.Num)
+	// A failed append degrades the store to read-only inside logAndApply.
+	_ = db.logAndApply(&VersionEdit{ScrubCursor: t.Num})
 	return res.BytesVerified
 }
 
@@ -313,7 +296,7 @@ func (db *DB) Scrub() (ScrubReport, error) {
 	}
 	db.stats.addScrubCycle()
 	if maxNum > 0 {
-		db.persistScrubCursor(maxNum)
+		_ = db.logAndApply(&VersionEdit{ScrubCursor: maxNum}) // failure: store goes read-only
 	}
 	return rep, nil
 }

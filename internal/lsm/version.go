@@ -25,19 +25,20 @@ import (
 // NumLevels is the number of disk components.
 const NumLevels = 7
 
-// TableMeta describes one live table in a version.
+// TableMeta describes one live table in a version. The JSON tags are the
+// manifest's encoding of a table.
 type TableMeta struct {
-	Num      uint64 // file number; file name is Num.sst
-	Size     int64
-	Entries  int64
-	Smallest []byte // internal keys
-	Largest  []byte
+	Num      uint64 `json:"num"` // file number; file name is Num.sst
+	Size     int64  `json:"size"`
+	Entries  int64  `json:"entries"`
+	Smallest []byte `json:"smallest"` // internal keys
+	Largest  []byte `json:"largest"`
 	// Digest is the CRC32-C of the whole file image, recorded in the
 	// manifest when the table is created (flushes and compaction outputs;
 	// trivial moves carry it forward). The scrub worker and paranoid
 	// verify-before-install recompute it from the device and compare.
 	// 0 means "unknown" — tables journaled before digests existed.
-	Digest uint32
+	Digest uint32 `json:"digest,omitempty"`
 }
 
 // FileName returns the table's file name.
@@ -117,25 +118,68 @@ func (v *Version) overlapping(level int, smallest, largest []byte) []*TableMeta 
 	return out
 }
 
-// VersionEdit describes an atomic change of the table layout.
+// VersionEdit is one atomic, durable change of store state. The manifest
+// journals it as one JSON line (logAndApply) and applyEdit folds it into
+// memory; recovery replays every line through the same applyEdit. Zero
+// fields change nothing.
 type VersionEdit struct {
-	Added   map[int][]*TableMeta // level -> new tables
-	Deleted map[int][]uint64     // level -> removed table numbers
+	Added   map[int][]*TableMeta `json:"added,omitempty"`   // level -> new tables
+	Deleted map[int][]uint64     `json:"deleted,omitempty"` // level -> removed table numbers
+	// WALNum points at the live WAL file after this edit.
+	WALNum uint64 `json:"wal,omitempty"`
+	// Seq checkpoints the sequence number (recovery resumes above it).
+	Seq uint64 `json:"seq,omitempty"`
+	// NextFile checkpoints the file-number allocator.
+	NextFile uint64 `json:"next_file,omitempty"`
+	// CompactPtr sets per-level round-robin compaction cursors (the largest
+	// key compacted from that level), so file rotation resumes where it
+	// left off instead of resetting on every reopen.
+	CompactPtr map[int][]byte `json:"compact_ptr,omitempty"`
+	// Quarantined adds table numbers that failed verification to the
+	// quarantine set, so the scoped degradation survives reopen. Replay
+	// keeps the union of all edits, intersected with the tables still live
+	// at the end.
+	Quarantined []uint64 `json:"quarantined,omitempty"`
+	// ScrubCursor checkpoints the background scrub worker's position (the
+	// last table number verified), so a cycle resumes where it left off
+	// instead of restarting from the lowest-numbered table on reopen.
+	ScrubCursor uint64 `json:"scrub_cursor,omitempty"`
 }
 
-// NewVersionEdit returns an empty edit.
-func NewVersionEdit() *VersionEdit {
-	return &VersionEdit{Added: map[int][]*TableMeta{}, Deleted: map[int][]uint64{}}
-}
-
-// AddTable records a table addition.
-func (e *VersionEdit) AddTable(level int, t *TableMeta) {
-	e.Added[level] = append(e.Added[level], t)
-}
-
-// DeleteTable records a table removal.
-func (e *VersionEdit) DeleteTable(level int, num uint64) {
-	e.Deleted[level] = append(e.Deleted[level], num)
+// validate rejects an edit that names a level outside [0, NumLevels), a
+// key too short to be an internal key, a table whose smallest key sorts
+// after its largest, or a sequence past ikey.MaxSeq. A replayed edit is
+// input from disk: a damaged manifest must fail Open with ErrCorruption,
+// not panic it or a later compaction pick.
+func (e *VersionEdit) validate() error {
+	bad := func(what string, level int) error {
+		return fmt.Errorf("%w: manifest edit: %s at level %d", ErrCorruption, what, level)
+	}
+	for level, tables := range e.Added {
+		if level < 0 || level >= NumLevels {
+			return bad("added table", level)
+		}
+		for _, t := range tables {
+			if t == nil || !ikey.Valid(t.Smallest) || !ikey.Valid(t.Largest) ||
+				ikey.Compare(t.Smallest, t.Largest) > 0 {
+				return bad("malformed table", level)
+			}
+		}
+	}
+	for level := range e.Deleted {
+		if level < 0 || level >= NumLevels {
+			return bad("deleted table", level)
+		}
+	}
+	for level, ptr := range e.CompactPtr {
+		if level < 0 || level >= NumLevels || (len(ptr) > 0 && !ikey.Valid(ptr)) {
+			return bad("compaction cursor", level)
+		}
+	}
+	if e.Seq > ikey.MaxSeq {
+		return fmt.Errorf("%w: manifest edit: sequence %d past the maximum", ErrCorruption, e.Seq)
+	}
+	return nil
 }
 
 // versionSet tracks the current version, applies edits, and keeps every
