@@ -7,7 +7,7 @@
 //	pcpdb -dir /tmp/db del <key>
 //	pcpdb -dir /tmp/db scan [prefix]
 //	pcpdb -dir /tmp/db -n 100000 -vsize 100 -dist uniform load
-//	pcpdb -dir /tmp/db stats
+//	pcpdb -dir /tmp/db stats   (summary, then one "name value" line per metric)
 //	pcpdb -dir /tmp/db compact
 //	pcpdb -dir /tmp/db scrub   (alias: verify)
 //
@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"pcplsm"
@@ -156,6 +157,15 @@ func main() {
 	case "stats":
 		st := db.Stats()
 		fmt.Println(st.String())
+		m := db.Metrics()
+		names := make([]string, 0, len(m))
+		for name := range m {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("%s %d\n", name, m[name])
+		}
 		fmt.Printf("levels: %v\n", db.Levels())
 		for i, ds := range db.DeviceStats() {
 			fmt.Printf("device %d: reads=%d (%.1f MiB) writes=%d (%.1f MiB) busy=%v\n",

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	out, err = run(t, bin, "-dir", dir, "stats")
 	if err != nil || !strings.Contains(out, "levels:") {
 		t.Fatalf("stats: %v\n%s", err, out)
+	}
+	if !regexp.MustCompile(`(?m)^lsm_puts \d+$`).MatchString(out) {
+		t.Fatalf("stats printed no lsm_puts metric line:\n%s", out)
 	}
 	if out, err = run(t, bin, "-dir", dir, "compact"); err != nil {
 		t.Fatalf("compact: %v\n%s", err, out)

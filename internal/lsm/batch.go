@@ -103,10 +103,12 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// decodeBatch parses a WAL record back into operations.
+// decodeBatch parses a WAL record back into operations. Every failure
+// matches ErrCorruption, including a sequence range that runs past
+// ikey.MaxSeq (the memtable cannot represent it).
 func decodeBatch(rec []byte) (seq uint64, entries []batchEntry, err error) {
 	bad := func(what string) (uint64, []batchEntry, error) {
-		return 0, nil, fmt.Errorf("lsm: corrupt batch record: %s", what)
+		return 0, nil, fmt.Errorf("%w: batch record: %s", ErrCorruption, what)
 	}
 	seq, n := binary.Uvarint(rec)
 	if n <= 0 {
@@ -118,6 +120,10 @@ func decodeBatch(rec []byte) (seq uint64, entries []batchEntry, err error) {
 		return bad("count")
 	}
 	rec = rec[n:]
+	// seq+count-1 ≤ MaxSeq, written so that neither side can wrap.
+	if count > 0 && (seq > ikey.MaxSeq || count-1 > ikey.MaxSeq-seq) {
+		return bad("sequence range exceeds MaxSeq")
+	}
 	for i := uint64(0); i < count; i++ {
 		if len(rec) < 1 {
 			return bad("kind")

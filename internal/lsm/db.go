@@ -14,7 +14,6 @@ import (
 	"pcplsm/internal/core"
 	"pcplsm/internal/ikey"
 	"pcplsm/internal/memtable"
-	"pcplsm/internal/metrics"
 	"pcplsm/internal/sstable"
 	"pcplsm/internal/storage"
 	"pcplsm/internal/wal"
@@ -108,12 +107,13 @@ type DB struct {
 	// verified (journaled so a cycle resumes across reopen). Guarded by mu.
 	scrubCursor uint64
 
-	// Scheduler claim state (see scheduler.go); guarded by mu.
-	flushing            bool // a memtable flush is in flight
-	compactionsInFlight int
-	claimedLevels       [NumLevels]bool
-	claimedFiles        map[uint64]struct{}
-	pendingOutputs      map[uint64]struct{} // compaction outputs not yet installed
+	// Scheduler claim state (see scheduler.go); guarded by mu. It is the
+	// only record of in-flight background work: Stats() reads its gauges
+	// from here.
+	flushing       bool                // a memtable flush is in flight
+	claims         []*compactionClaim  // in-flight compactions
+	maxConcurrent  int64               // high-water mark of flushing + len(claims)
+	pendingOutputs map[uint64]struct{} // compaction outputs not yet installed
 
 	// zombies are tables dropped from the current version whose files are
 	// retained because a pinned old version may still read them; swept when
@@ -125,14 +125,6 @@ type DB struct {
 	bgWork chan struct{}
 	bgQuit chan struct{}
 	bgWg   sync.WaitGroup
-
-	// Live-exported scheduler gauges (also visible via Stats()).
-	reg                 *metrics.Registry
-	gFlushesInFlight    *metrics.Gauge
-	gCompactionsTotal   *metrics.Gauge
-	gCompactionsByLevel [NumLevels]*metrics.Gauge
-	gClaimedBytes       *metrics.Gauge
-	gPolicyActive       *metrics.Gauge
 }
 
 // newMemtable builds an empty memtable from the DB's sharding/arena options.
@@ -141,17 +133,6 @@ func (db *DB) newMemtable() *memtable.Memtable {
 		Shards:    db.opts.MemtableShards,
 		ChunkSize: db.opts.MemtableArenaChunk,
 	})
-}
-
-// gaugeFlushes moves the in-flight flush gauge by d.
-func (db *DB) gaugeFlushes(d int64) { db.gFlushesInFlight.Add(d) }
-
-// gaugeCompactions moves the in-flight compaction gauges: d units at the
-// given source level, and bytes claimed table bytes (both signed).
-func (db *DB) gaugeCompactions(level int, d, bytes int64) {
-	db.gCompactionsTotal.Add(d)
-	db.gCompactionsByLevel[level].Add(d)
-	db.gClaimedBytes.Add(bytes)
 }
 
 // Open opens (creating or recovering) a DB on opts.FS.
@@ -168,10 +149,6 @@ func Open(opts Options) (*DB, error) {
 			heat = cache.NewHeat()
 		}
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	db := &DB{
 		opts:           opts,
 		fs:             opts.FS,
@@ -181,22 +158,13 @@ func Open(opts Options) (*DB, error) {
 		cache:          newTableCache(opts.FS, blockCache, heat),
 		snapshots:      map[uint64]int{},
 		quarantine:     map[uint64]struct{}{},
-		claimedFiles:   map[uint64]struct{}{},
 		pendingOutputs: map[uint64]struct{}{},
 		zombies:        map[uint64]struct{}{},
 		bgWork:         make(chan struct{}, opts.BackgroundWorkers),
 		bgQuit:         make(chan struct{}),
-		reg:            reg,
 	}
 	db.mem = db.newMemtable()
 	db.cond = sync.NewCond(&db.mu)
-	db.gFlushesInFlight = reg.Gauge("lsm_flushes_inflight")
-	db.gCompactionsTotal = reg.Gauge("lsm_compactions_inflight")
-	for l := range db.gCompactionsByLevel {
-		db.gCompactionsByLevel[l] = reg.Gauge(fmt.Sprintf("lsm_compactions_inflight_l%d", l))
-	}
-	db.gClaimedBytes = reg.Gauge("lsm_claimed_bytes")
-	db.gPolicyActive = reg.Gauge("lsm_policy_active")
 	// Resolve the compaction policy. An empty name starts at leveling
 	// with the self-tuner active; a pinned name disables the tuner.
 	polName, tune := opts.CompactionPolicy, opts.CompactionPolicy == ""
@@ -208,7 +176,6 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.policy = pol
-	db.gPolicyActive.Set(policyIndex(polName))
 	db.penv = &policyEnv{opts: &db.opts, free: db.levelPairFree, cursor: &db.compactPtr,
 		heat: heat, quarantined: db.quarantinedLocked}
 	if tune {
@@ -216,7 +183,7 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.PipelineComputeTokens > 0 {
 		db.governor = newPipelineGovernor(opts.PipelineComputeTokens,
-			max(1, opts.PipelineIOTokens), reg)
+			max(1, opts.PipelineIOTokens))
 	}
 
 	if err := db.recover(); err != nil {
@@ -326,9 +293,12 @@ func (db *DB) recover() error {
 	for _, num := range logNums {
 		recs, rerr := wal.ReadAllRecords(db.fs, walFileName(num))
 		for _, rec := range recs {
+			// A record that passed its checksum but does not decode was
+			// written that way: skipping it would silently drop every later
+			// record of this log, so the open fails instead.
 			seq, entries, derr := decodeBatch(rec)
 			if derr != nil {
-				break
+				return fmt.Errorf("lsm: replaying WAL %d: %w", num, derr)
 			}
 			for i, e := range entries {
 				s := seq + uint64(i)
@@ -394,7 +364,7 @@ func (db *DB) setBgErr(err error) {
 func (db *DB) setBgErrLocked(err error) {
 	if db.bgErr == nil {
 		db.bgErr = err
-		db.stats.addBackgroundError()
+		db.stats.update(func(s *Stats) { s.BackgroundErrors++ })
 		db.opts.logf("lsm: store degraded to read-only: %v", err)
 	}
 	db.cond.Broadcast()
@@ -410,7 +380,7 @@ func (db *DB) noteReadError(err error) error {
 		return err
 	}
 	if isCorruptionErr(err) {
-		db.stats.addCorruption()
+		db.stats.update(func(s *Stats) { s.CorruptionsDetected++ })
 		wrapped := &backgroundError{cause: err, corruption: true}
 		db.setBgErr(wrapped)
 		return wrapped
@@ -428,7 +398,7 @@ func (db *DB) noteTableReadError(num uint64, err error) error {
 		return err
 	}
 	if isCorruptionErr(err) {
-		db.stats.addCorruption()
+		db.stats.update(func(s *Stats) { s.CorruptionsDetected++ })
 		db.quarantineTable(num, err)
 		return &quarantinedError{num: num}
 	}
@@ -510,7 +480,6 @@ func (db *DB) applyEdit(e *VersionEdit) error {
 			next[n] = struct{}{}
 		}
 		db.quarantine = next
-		db.stats.setQuarantined(int64(len(next)))
 	}
 	if e.ScrubCursor > 0 {
 		db.scrubCursor = e.ScrubCursor
@@ -576,7 +545,6 @@ func (db *DB) pruneQuarantineLocked() {
 		}
 	}
 	db.quarantine = next
-	db.stats.setQuarantined(int64(len(next)))
 }
 
 // nudge wakes the background loop.
@@ -792,11 +760,24 @@ func (db *DB) searchTable(t *TableMeta, key, search []byte) (val []byte, deleted
 	return append([]byte(nil), it.Value()...), false, true, nil
 }
 
-// Stats returns a snapshot of cumulative statistics.
+// Stats returns a snapshot of cumulative statistics, with every gauge
+// sampled from its one home: the scheduler claims and quarantine set under
+// mu, the live memtable, the block cache and the governor's pools.
 func (db *DB) Stats() Stats {
 	s := db.stats.snapshot()
 	db.mu.Lock()
 	mem := db.mem
+	s.ActivePolicy = db.policy.Name()
+	if db.flushing {
+		s.FlushesInFlight = 1
+	}
+	s.CompactionsInFlight = int64(len(db.claims))
+	for _, c := range db.claims {
+		s.CompactionsInFlightByLevel[c.level]++
+		s.ClaimedBytes += c.bytes
+	}
+	s.MaxConcurrentBackground = db.maxConcurrent
+	s.QuarantinedTables = int64(len(db.quarantine))
 	db.mu.Unlock()
 	if mem != nil {
 		ms := mem.Stats()
@@ -821,83 +802,15 @@ func (db *DB) Stats() Stats {
 		s.PipelineComputeLeased = int64(cl)
 		s.PipelineIOLeased = int64(il)
 	}
-	db.mu.Lock()
-	s.ActivePolicy = db.policy.Name()
-	db.mu.Unlock()
 	return s
 }
 
 // Version returns the current table layout (for inspection and tests).
 func (db *DB) Version() *Version { return db.vs.Current() }
 
-// Metrics returns the DB's metrics registry with the operation counters
-// synced from the stats snapshot. The scheduler gauges (in-flight flushes
-// and compactions per level, claimed bytes) are maintained live and need no
-// sync.
-func (db *DB) Metrics() *metrics.Registry {
-	s := db.Stats()
-	db.reg.Gauge("lsm_puts").Set(s.Puts)
-	db.reg.Gauge("lsm_deletes").Set(s.Deletes)
-	db.reg.Gauge("lsm_gets").Set(s.Gets)
-	db.reg.Gauge("lsm_filter_skips").Set(s.FilterSkips)
-	db.reg.Gauge("lsm_flushes").Set(s.Flushes)
-	db.reg.Gauge("lsm_compactions").Set(s.Compactions)
-	db.reg.Gauge("lsm_stall_count").Set(s.StallCount)
-	db.reg.Gauge("lsm_stall_ns").Set(int64(s.StallTime))
-	db.reg.Gauge("lsm_max_concurrent_background").Set(s.MaxConcurrentBackground)
-	db.reg.Gauge("lsm_write_groups").Set(s.WriteGroups)
-	db.reg.Gauge("lsm_grouped_writes").Set(s.GroupedWrites)
-	db.reg.Gauge("lsm_wal_syncs").Set(s.WALSyncs)
-	db.reg.Gauge("lsm_max_write_group").Set(s.MaxWriteGroup)
-	db.reg.Gauge("lsm_background_retries").Set(s.BackgroundRetries)
-	db.reg.Gauge("lsm_background_errors").Set(s.BackgroundErrors)
-	db.reg.Gauge("lsm_corruptions_detected").Set(s.CorruptionsDetected)
-	// Integrity observability: scrub progress, paranoid verification, and the
-	// scoped-quarantine gauge (see scrub.go).
-	db.reg.Gauge("lsm_scrub_tables_verified").Set(s.ScrubTablesVerified)
-	db.reg.Gauge("lsm_scrub_bytes_verified").Set(s.ScrubBytesVerified)
-	db.reg.Gauge("lsm_scrub_cycles").Set(s.ScrubCycles)
-	db.reg.Gauge("lsm_scrub_corruptions").Set(s.ScrubCorruptions)
-	db.reg.Gauge("lsm_quarantined_tables").Set(s.QuarantinedTables)
-	db.reg.Gauge("lsm_paranoid_verifies").Set(s.ParanoidVerifies)
-	db.reg.Gauge("lsm_paranoid_rejections").Set(s.ParanoidRejections)
-	db.reg.Gauge("lsm_block_cache_hits").Set(s.BlockCacheHits)
-	db.reg.Gauge("lsm_block_cache_misses").Set(s.BlockCacheMisses)
-	db.reg.Gauge("lsm_block_cache_evictions").Set(s.BlockCacheEvictions)
-	db.reg.Gauge("lsm_block_cache_bytes").Set(s.BlockCacheBytes)
-	db.reg.Gauge("lsm_block_cache_capacity").Set(s.BlockCacheCapacity)
-	db.reg.Gauge("lsm_block_cache_prewarmed").Set(s.BlockCachePrewarmed)
-	db.reg.Gauge("lsm_memtable_shards").Set(s.MemtableShards)
-	db.reg.Gauge("lsm_memtable_entries").Set(s.MemtableEntries)
-	db.reg.Gauge("lsm_memtable_shard_entries_max").Set(s.MemtableMaxShardEntries)
-	db.reg.Gauge("lsm_memtable_shard_entries_min").Set(s.MemtableMinShardEntries)
-	db.reg.Gauge("lsm_memtable_arena_reserved_bytes").Set(s.MemtableArenaReserved)
-	db.reg.Gauge("lsm_memtable_arena_used_bytes").Set(s.MemtableArenaUsed)
-	db.reg.Gauge("lsm_apply_shard_runs").Set(s.ApplyShardRuns)
-	db.reg.Gauge("lsm_parallel_applies").Set(s.ParallelApplies)
-	// Pipeline & governor observability. The token pool gauges
-	// (lsm_pipeline_{compute,io}_{tokens,leased}) are maintained live by the
-	// governor itself; the decision counters and stage-time attribution are
-	// synced here from the stats snapshot.
-	db.reg.Gauge("lsm_compactions_pipelined").Set(s.PipelinedCompactions)
-	db.reg.Gauge("lsm_governor_grows").Set(s.GovernorGrows)
-	db.reg.Gauge("lsm_governor_shrinks").Set(s.GovernorShrinks)
-	db.reg.Gauge("lsm_governor_denials").Set(s.GovernorDenials)
-	// Compaction-policy observability. lsm_policy_active is maintained live
-	// by setPolicy/Open (see policyIndex for the value encoding).
-	db.reg.Gauge("lsm_trivial_moves").Set(s.TrivialMoves)
-	db.reg.Gauge("lsm_trivial_move_bytes").Set(s.TrivialMoveBytes)
-	db.reg.Gauge("lsm_policy_switches").Set(s.PolicySwitches)
-	db.reg.Gauge("lsm_compaction_stage_busy_read_ns").Set(int64(s.CompactionStageBusy.Read))
-	db.reg.Gauge("lsm_compaction_stage_busy_compute_ns").Set(int64(s.CompactionStageBusy.Compute))
-	db.reg.Gauge("lsm_compaction_stage_busy_write_ns").Set(int64(s.CompactionStageBusy.Write))
-	db.reg.Gauge("lsm_compaction_stage_idle_read_ns").Set(int64(s.CompactionStageIdle.Read))
-	db.reg.Gauge("lsm_compaction_stage_idle_compute_ns").Set(int64(s.CompactionStageIdle.Compute))
-	db.reg.Gauge("lsm_compaction_stage_idle_write_ns").Set(int64(s.CompactionStageIdle.Write))
-	db.reg.Gauge("lsm_compaction_queue_hw_compute").Set(int64(s.LastCompaction.Pipeline.ComputeQueueHighWater))
-	db.reg.Gauge("lsm_compaction_queue_hw_write").Set(int64(s.LastCompaction.Pipeline.WriteQueueHighWater))
-	return db.reg
-}
+// Metrics returns one Stats() snapshot under the lsm_* metric names its
+// fields declare.
+func (db *DB) Metrics() map[string]int64 { return db.Stats().metrics() }
 
 // Seq returns the last committed (read-visible) sequence number.
 func (db *DB) Seq() uint64 { return db.visibleSeq.Load() }
@@ -1135,9 +1048,11 @@ func (db *DB) setPolicy(name string) {
 		return
 	}
 	db.policy = pol
+	// WaitIdle's idle test asks the policy for a pick: wake any waiter that
+	// saw work under the old policy, which the new one may not schedule.
+	db.cond.Broadcast()
 	db.mu.Unlock()
-	db.stats.addPolicySwitch()
-	db.gPolicyActive.Set(policyIndex(name))
+	db.stats.update(func(s *Stats) { s.PolicySwitches++ })
 	db.opts.logf("lsm: compaction policy switched to %s", name)
 	db.nudge()
 }
@@ -1191,7 +1106,7 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 			// merge reads a single block: quarantine the culprit here just as
 			// a mid-merge corruption would be attributed below.
 			if isCorruptionErr(err) {
-				db.stats.addCorruption()
+				db.stats.update(func(s *Stats) { s.CorruptionsDetected++ })
 				db.quarantineTable(t.Num, err)
 				return &quarantineHandledError{err: err}
 			}
@@ -1377,7 +1292,10 @@ func (db *DB) runTrivialMove(pc *pickedCompaction) error {
 	if err := db.logAndApply(edit); err != nil {
 		return err
 	}
-	db.stats.addTrivialMove(t.Size)
+	db.stats.update(func(s *Stats) {
+		s.TrivialMoves++
+		s.TrivialMoveBytes += t.Size
+	})
 	db.opts.logf("lsm: trivial move: table %s L%d→L%d (%d bytes, no rewrite)",
 		t.FileName(), pc.level, pc.level+1, t.Size)
 	db.nudge()
@@ -1502,8 +1420,10 @@ func (db *DB) removeObsoleteFiles() {
 	}
 	live := map[string]bool{manifestName: true, walFileName(db.walNum): true}
 	db.mu.Lock()
-	for num := range db.claimedFiles {
-		live[TableFileName(num)] = true
+	for _, c := range db.claims {
+		for _, num := range c.files {
+			live[TableFileName(num)] = true
+		}
 	}
 	for num := range db.pendingOutputs {
 		live[TableFileName(num)] = true

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pcplsm/internal/core"
-	"pcplsm/internal/metrics"
 )
 
 // Pipeline governor: engine-wide budgets for the stage workers of pipelined
@@ -26,7 +25,7 @@ import (
 // claimed unit must be able to run, and on a 1-CPU host the alternative is
 // deadlock. Only width beyond the baseline is gated on availability, so
 // extras can never oversubscribe: leased > total happens only via
-// baselines, and the leased-vs-total gauges make the debt visible.
+// baselines, and Stats' leased-vs-total pool sizes make the debt visible.
 //
 // Mid-run, the adaptive pilot (adaptivePilot below) implements
 // core.PipelineGovernor on top of a lease: between sub-tasks it classifies
@@ -41,26 +40,10 @@ type pipelineGovernor struct {
 	ioTotal       int
 	computeLeased int
 	ioLeased      int
-
-	// Live gauges mirroring the pool state (also snapshotted into Stats).
-	gComputeTotal  *metrics.Gauge
-	gComputeLeased *metrics.Gauge
-	gIOTotal       *metrics.Gauge
-	gIOLeased      *metrics.Gauge
 }
 
-func newPipelineGovernor(computeTokens, ioTokens int, reg *metrics.Registry) *pipelineGovernor {
-	g := &pipelineGovernor{
-		computeTotal:   computeTokens,
-		ioTotal:        ioTokens,
-		gComputeTotal:  reg.Gauge("lsm_pipeline_compute_tokens"),
-		gComputeLeased: reg.Gauge("lsm_pipeline_compute_leased"),
-		gIOTotal:       reg.Gauge("lsm_pipeline_io_tokens"),
-		gIOLeased:      reg.Gauge("lsm_pipeline_io_leased"),
-	}
-	g.gComputeTotal.Set(int64(computeTokens))
-	g.gIOTotal.Set(int64(ioTokens))
-	return g
+func newPipelineGovernor(computeTokens, ioTokens int) *pipelineGovernor {
+	return &pipelineGovernor{computeTotal: computeTokens, ioTotal: ioTokens}
 }
 
 // pipelineLease is one background unit's slice of the pools.
@@ -87,7 +70,6 @@ func (g *pipelineGovernor) acquire(wantCompute, wantIO int) *pipelineLease {
 		l.io++
 		g.ioLeased++
 	}
-	g.publish()
 	return l
 }
 
@@ -100,7 +82,6 @@ func (l *pipelineLease) release() {
 	l.g.mu.Lock()
 	l.g.computeLeased -= compute
 	l.g.ioLeased -= io
-	l.g.publish()
 	l.g.mu.Unlock()
 }
 
@@ -112,7 +93,6 @@ func (l *pipelineLease) tryGrowCompute() bool {
 		return false
 	}
 	l.g.computeLeased++
-	l.g.publish()
 	l.mu.Lock()
 	l.compute++
 	l.mu.Unlock()
@@ -127,7 +107,6 @@ func (l *pipelineLease) tryGrowIO() bool {
 		return false
 	}
 	l.g.ioLeased++
-	l.g.publish()
 	l.mu.Lock()
 	l.io++
 	l.mu.Unlock()
@@ -145,7 +124,6 @@ func (l *pipelineLease) shrinkCompute() {
 	l.mu.Unlock()
 	l.g.mu.Lock()
 	l.g.computeLeased--
-	l.g.publish()
 	l.g.mu.Unlock()
 }
 
@@ -160,7 +138,6 @@ func (l *pipelineLease) shrinkIO() {
 	l.mu.Unlock()
 	l.g.mu.Lock()
 	l.g.ioLeased--
-	l.g.publish()
 	l.g.mu.Unlock()
 }
 
@@ -182,7 +159,6 @@ func (g *pipelineGovernor) tryLeaseIO() bool {
 		return false
 	}
 	g.ioLeased++
-	g.publish()
 	return true
 }
 
@@ -190,14 +166,7 @@ func (g *pipelineGovernor) tryLeaseIO() bool {
 func (g *pipelineGovernor) returnIO() {
 	g.mu.Lock()
 	g.ioLeased--
-	g.publish()
 	g.mu.Unlock()
-}
-
-// publish mirrors the pool state into the live gauges. Called with g.mu held.
-func (g *pipelineGovernor) publish() {
-	g.gComputeLeased.Set(int64(g.computeLeased))
-	g.gIOLeased.Set(int64(g.ioLeased))
 }
 
 // snapshot reads the pool state for Stats().
@@ -244,18 +213,18 @@ func (a *adaptivePilot) Adjust(t core.PipelineTelemetry) core.PipelineResize {
 		// Readers are parked on a full compute queue: compute-bound.
 		if a.lease.tryGrowCompute() {
 			r.Compute++
-			a.stats.addGovernorGrow()
+			a.stats.update(func(s *Stats) { s.GovernorGrows++ })
 		} else {
-			a.stats.addGovernorDenial()
+			a.stats.update(func(s *Stats) { s.GovernorDenials++ })
 		}
 		a.lastActed = t.SubtasksDone
 	case writeFull || (compEmpty && b.Read > b.Compute+b.Write):
 		// Writers backed up, or compute starved behind slow reads: I/O-bound.
 		if a.lease.tryGrowIO() {
 			r.IO++
-			a.stats.addGovernorGrow()
+			a.stats.update(func(s *Stats) { s.GovernorGrows++ })
 		} else {
-			a.stats.addGovernorDenial()
+			a.stats.update(func(s *Stats) { s.GovernorDenials++ })
 		}
 		a.lastActed = t.SubtasksDone
 	case compEmpty && t.ComputeWorkers > 1 && b.Compute < b.Read+b.Write:
@@ -263,13 +232,13 @@ func (a *adaptivePilot) Adjust(t core.PipelineTelemetry) core.PipelineResize {
 		// token back so a sibling compaction can use it.
 		a.lease.shrinkCompute()
 		r.Compute--
-		a.stats.addGovernorShrink()
+		a.stats.update(func(s *Stats) { s.GovernorShrinks++ })
 		a.lastActed = t.SubtasksDone
 	case writeEmpty && compFull && t.IOWorkers > 1:
 		// I/O overprovisioned: writers drain instantly while compute chokes.
 		a.lease.shrinkIO()
 		r.IO--
-		a.stats.addGovernorShrink()
+		a.stats.update(func(s *Stats) { s.GovernorShrinks++ })
 		a.lastActed = t.SubtasksDone
 	}
 	return r

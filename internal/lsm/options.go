@@ -7,7 +7,6 @@ import (
 	"pcplsm/internal/compress"
 	"pcplsm/internal/core"
 	"pcplsm/internal/memtable"
-	"pcplsm/internal/metrics"
 	"pcplsm/internal/storage"
 )
 
@@ -222,11 +221,6 @@ type Options struct {
 	// governor I/O lease while being verified, so scrub reads compete with
 	// compactions under the same token accounting.
 	ScrubBytesPerSec int64
-
-	// Metrics, when set, receives the DB's live gauges (scheduler in-flight
-	// work, claimed bytes) and counters; nil gives the DB a private
-	// registry reachable via DB.Metrics().
-	Metrics *metrics.Registry
 
 	// Logf, when set, receives progress lines (flushes, compactions).
 	Logf func(format string, args ...any)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pcplsm/internal/core"
-	"pcplsm/internal/metrics"
 	"pcplsm/internal/storage"
 )
 
@@ -165,7 +164,7 @@ func TestGovernorGaugesAndStats(t *testing.T) {
 			lp.InitialComputeWorkers, lp.InitialIOWorkers)
 	}
 
-	snap := db.Metrics().Snapshot()
+	snap := db.Metrics()
 	for gauge, want := range map[string]int64{
 		"lsm_pipeline_compute_tokens": 3,
 		"lsm_pipeline_io_tokens":      4,
@@ -281,10 +280,10 @@ func TestCompactionOptionsClamped(t *testing.T) {
 
 // TestGovernorLeasePools exercises the token pool accounting directly:
 // baseline grants always succeed (even overcommitted), extras are gated on
-// headroom, releases return everything, and the live gauges track it all.
+// headroom, releases return everything, and the pool snapshot Stats() reads
+// tracks it all.
 func TestGovernorLeasePools(t *testing.T) {
-	reg := metrics.NewRegistry()
-	g := newPipelineGovernor(2, 2, reg)
+	g := newPipelineGovernor(2, 2)
 
 	l1 := g.acquire(3, 3)
 	if c, io := l1.widths(); c != 2 || io != 2 {
@@ -296,16 +295,15 @@ func TestGovernorLeasePools(t *testing.T) {
 	if c, io := l2.widths(); c != 1 || io != 1 {
 		t.Fatalf("lease2 widths = %d/%d, want baseline 1/1", c, io)
 	}
-	if ct, _, cl, _ := g.snapshot(); ct != 2 || cl != 3 {
-		t.Fatalf("pool = %d leased %d, want total 2 leased 3 (baseline overcommit)", ct, cl)
+	if ct, it, cl, il := g.snapshot(); ct != 2 || it != 2 || cl != 3 || il != 3 {
+		t.Fatalf("pool = total %d/%d leased %d/%d, want total 2/2 leased 3/3 (baseline overcommit)",
+			ct, it, cl, il)
 	}
 	if l2.tryGrowCompute() {
 		t.Fatal("tryGrowCompute succeeded on an exhausted pool")
 	}
-	snap := reg.Snapshot()
-	if snap["lsm_pipeline_compute_tokens"] != 2 || snap["lsm_pipeline_compute_leased"] != 3 {
-		t.Fatalf("gauges = total %d leased %d, want 2/3",
-			snap["lsm_pipeline_compute_tokens"], snap["lsm_pipeline_compute_leased"])
+	if _, _, cl, _ := g.snapshot(); cl != 3 {
+		t.Fatalf("denied grow changed the pool: compute leased %d, want 3", cl)
 	}
 
 	l1.release()
@@ -332,8 +330,7 @@ func TestGovernorLeasePools(t *testing.T) {
 // grows I/O, overprovisioned stages shrink, exhausted pools count denials,
 // and the hysteresis window suppresses back-to-back actions.
 func TestAdaptivePilotClassification(t *testing.T) {
-	reg := metrics.NewRegistry()
-	g := newPipelineGovernor(4, 4, reg)
+	g := newPipelineGovernor(4, 4)
 	lease := g.acquire(1, 1)
 	var sc statsCollector
 	pilot := &adaptivePilot{lease: lease, stats: &sc}
@@ -383,10 +380,15 @@ func TestAdaptivePilotClassification(t *testing.T) {
 	if s.GovernorGrows != 2 || s.GovernorShrinks != 1 {
 		t.Fatalf("grows/shrinks = %d/%d, want 2/1", s.GovernorGrows, s.GovernorShrinks)
 	}
+	// The pilot's two grows and one shrink moved the pool by one token each
+	// way: compute 1+1−1, I/O 1+1.
+	if _, _, cl, il := g.snapshot(); cl != 1 || il != 2 {
+		t.Fatalf("pool leased = %d/%d after the pilot's resizes, want 1/2", cl, il)
+	}
 	lease.release()
 
 	// Exhausted pool: a grow attempt is denied and counted.
-	g2 := newPipelineGovernor(1, 1, metrics.NewRegistry())
+	g2 := newPipelineGovernor(1, 1)
 	lease2 := g2.acquire(1, 1)
 	var sc2 statsCollector
 	pilot2 := &adaptivePilot{lease: lease2, stats: &sc2}

@@ -92,7 +92,7 @@ func newPolicy(name string) (CompactionPolicy, error) {
 	return nil, fmt.Errorf("lsm: unknown compaction policy %q", name)
 }
 
-// policyIndex maps a policy name to the stable lsm_policy_active gauge
+// policyIndex maps a policy name to the stable lsm_policy_active metric
 // value (0 leveling, 1 lazy-leveling, 2 coldest-range).
 func policyIndex(name string) int64 {
 	switch name {

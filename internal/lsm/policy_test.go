@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pcplsm/internal/cache"
 	"pcplsm/internal/ikey"
@@ -640,8 +641,51 @@ func TestTunerSwitchesPolicyOnWorkloadShift(t *testing.T) {
 	if s.ActivePolicy != PolicyLazyLeveling {
 		t.Fatalf("Stats().ActivePolicy = %s, want %s", s.ActivePolicy, PolicyLazyLeveling)
 	}
-	if got := db.Metrics().Gauge("lsm_policy_active").Load(); got != policyIndex(PolicyLazyLeveling) {
+	if got := db.Metrics()["lsm_policy_active"]; got != policyIndex(PolicyLazyLeveling) {
 		t.Fatalf("lsm_policy_active = %d, want %d", got, policyIndex(PolicyLazyLeveling))
+	}
+}
+
+// TestPolicySwitchWakesWaitIdle: WaitIdle's "nothing left to pick" test
+// depends on the active policy, so a switch must wake a waiter that saw work
+// under the old one. Without the wakeup WaitIdle sleeps forever once the new
+// policy has nothing to pick, because no background unit is left to signal.
+func TestPolicySwitchWakesWaitIdle(t *testing.T) {
+	opts := smallOpts(storage.NewMemFS())
+	opts.DisableAutoCompaction = true // only the switch can change WaitIdle's answer
+	db := mustOpen(t, opts)
+	defer db.Close()
+	for f := 0; f < opts.L0CompactionTrigger; f++ {
+		if err := db.Put([]byte(fmt.Sprintf("w%d", f)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.mu.Lock()
+	v := db.vs.Current()
+	leveling, lazy := db.pickCompaction(v), (lazyLevelingPolicy{}).Pick(db.penv, v)
+	db.mu.Unlock()
+	if leveling == nil || lazy != nil {
+		t.Fatalf("L0 at trigger: leveling pick %v, lazy-leveling pick %v; want a pick and none", leveling, lazy)
+	}
+
+	done := make(chan error, 1)
+	go func() { done <- db.WaitIdle() }()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitIdle returned %v with a leveling pick pending", err)
+	case <-time.After(50 * time.Millisecond): // let WaitIdle reach its wait
+	}
+	db.setPolicy(PolicyLazyLeveling)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitIdle still blocked after a switch to a policy with nothing to pick")
 	}
 }
 

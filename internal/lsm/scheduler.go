@@ -18,10 +18,12 @@ package lsm
 // Level-pair disjointness is sufficient given the leveled invariants: a
 // compaction at L only deletes tables at L and L+1 and only adds tables at
 // L+1, so two compactions with disjoint pairs touch disjoint table sets and
-// their version edits commute. The file-claim set is kept anyway as a
-// defense-in-depth check (manual CompactRange picks arbitrary input sets)
+// their version edits commute. Each claim's table list is checked anyway as
+// a defense-in-depth check (manual CompactRange picks arbitrary input sets)
 // and so obsolete-file deletion can see exactly which tables are pinned by
-// in-flight work.
+// in-flight work. The list of claims (db.claims) is the one record of
+// in-flight compactions: the level-pair and file checks scan it, and
+// Stats() counts it.
 //
 // Every unit installs its result through logAndApply (db.go): the version
 // edit is journaled in the manifest first and applied in memory second,
@@ -29,6 +31,7 @@ package lsm
 // version order, even with concurrent installers.
 
 import (
+	"slices"
 	"time"
 
 	"pcplsm/internal/core"
@@ -49,7 +52,33 @@ type compactionClaim struct {
 // levelPairFree reports whether no in-flight compaction claims level or
 // level+1. Called with db.mu held.
 func (db *DB) levelPairFree(level int) bool {
-	return !db.claimedLevels[level] && !db.claimedLevels[level+1]
+	for _, c := range db.claims {
+		if c.level <= level+1 && c.level+1 >= level {
+			return false
+		}
+	}
+	return true
+}
+
+// fileClaimed reports whether an in-flight compaction claims table num.
+// Called with db.mu held.
+func (db *DB) fileClaimed(num uint64) bool {
+	for _, c := range db.claims {
+		if slices.Contains(c.files, num) {
+			return true
+		}
+	}
+	return false
+}
+
+// noteConcurrency ratchets the high-water mark of simultaneous background
+// units. Called with db.mu held after a unit is claimed.
+func (db *DB) noteConcurrency() {
+	n := int64(len(db.claims))
+	if db.flushing {
+		n++
+	}
+	db.maxConcurrent = max(db.maxConcurrent, n)
 }
 
 // tryClaimCompaction reserves pc's level pair and tables, returning nil if
@@ -60,20 +89,14 @@ func (db *DB) tryClaimCompaction(pc *pickedCompaction) *compactionClaim {
 	}
 	c := &compactionClaim{level: pc.level}
 	for _, t := range append(append([]*TableMeta(nil), pc.inputs...), pc.overlap...) {
-		if _, busy := db.claimedFiles[t.Num]; busy {
+		if db.fileClaimed(t.Num) {
 			return nil
 		}
 		c.files = append(c.files, t.Num)
 		c.bytes += t.Size
 	}
-	db.claimedLevels[pc.level] = true
-	db.claimedLevels[pc.level+1] = true
-	for _, num := range c.files {
-		db.claimedFiles[num] = struct{}{}
-	}
-	db.compactionsInFlight++
-	db.stats.beginCompaction(pc.level, c.bytes)
-	db.gaugeCompactions(pc.level, +1, c.bytes)
+	db.claims = append(db.claims, c)
+	db.noteConcurrency()
 	if db.governor != nil && db.opts.Compaction.Mode == core.ModePCP {
 		// Hand the claim a stage-worker budget: the baseline 1+1 is always
 		// granted (the governor's leaf mutex is safe under db.mu), extras
@@ -92,21 +115,14 @@ func (db *DB) releaseCompaction(c *compactionClaim) {
 	if c.lease != nil {
 		c.lease.release()
 	}
-	db.claimedLevels[c.level] = false
-	db.claimedLevels[c.level+1] = false
-	for _, num := range c.files {
-		delete(db.claimedFiles, num)
-	}
-	db.compactionsInFlight--
-	db.stats.endCompaction(c.level, c.bytes)
-	db.gaugeCompactions(c.level, -1, -c.bytes)
+	db.claims = slices.DeleteFunc(db.claims, func(x *compactionClaim) bool { return x == c })
 	db.cond.Broadcast()
 }
 
 // backgroundBusy reports whether any background unit is in flight. Called
 // with db.mu held.
 func (db *DB) backgroundBusy() bool {
-	return db.flushing || db.compactionsInFlight > 0
+	return db.flushing || len(db.claims) > 0
 }
 
 // backgroundWorker is one scheduler goroutine: it sleeps until nudged, then
@@ -163,7 +179,7 @@ func (db *DB) retryBackgroundError(err error) bool {
 	case isOutputVerifyErr(err), isQuarantineHandledErr(err):
 		// Retryable: handled below with the transient budget.
 	case isCorruptionErr(err):
-		db.stats.addCorruption()
+		db.stats.update(func(s *Stats) { s.CorruptionsDetected++ })
 		db.setBgErr(&backgroundError{cause: err, corruption: true})
 		return false
 	case isPermanentErr(err):
@@ -179,7 +195,7 @@ func (db *DB) retryBackgroundError(err error) bool {
 		db.setBgErr(&backgroundError{cause: err})
 		return false
 	}
-	db.stats.addBackgroundRetry()
+	db.stats.update(func(s *Stats) { s.BackgroundRetries++ })
 
 	delay := db.opts.BackgroundRetry.BaseDelay
 	for i := 1; i < failures && i < 7; i++ { // cap the shift at 64×
@@ -221,15 +237,12 @@ func (db *DB) backgroundStep() (bool, error) {
 	if db.imm != nil && !db.flushing {
 		imm, walNum := db.imm, db.immWalNum
 		db.flushing = true
-		db.stats.beginFlush()
-		db.gaugeFlushes(+1)
+		db.noteConcurrency()
 		db.mu.Unlock()
 		db.nudge() // a compaction may be runnable alongside this flush
 		err := db.flushMemtable(imm, walNum)
 		db.mu.Lock()
 		db.flushing = false
-		db.stats.endFlush()
-		db.gaugeFlushes(-1)
 		if err == nil {
 			db.imm = nil
 		}

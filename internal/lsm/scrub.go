@@ -111,9 +111,14 @@ func checkTableMeta(meta *TableMeta, vs sstable.VerifyStats) error {
 // outputVerifyError — the caller deletes the rejected output and the
 // inputs are still intact, so the unit reruns like a transient failure.
 func (db *DB) verifyOutput(meta *TableMeta) error {
-	db.stats.addParanoidVerify()
-	if _, err := db.verifyTableFile(meta); err != nil {
-		db.stats.addParanoidReject()
+	_, err := db.verifyTableFile(meta)
+	db.stats.update(func(s *Stats) {
+		s.ParanoidVerifies++
+		if err != nil {
+			s.ParanoidRejections++
+		}
+	})
+	if err != nil {
 		db.opts.logf("lsm: paranoid check rejected output %s: %v", meta.FileName(), err)
 		return &outputVerifyError{err: err}
 	}
@@ -129,7 +134,7 @@ func (db *DB) quarantineCorruptInputs(tables []*TableMeta, cause error) int {
 	n := 0
 	for _, t := range tables {
 		if _, err := db.verifyTableFile(t); err != nil && isCorruptionErr(err) {
-			db.stats.addCorruption()
+			db.stats.update(func(s *Stats) { s.CorruptionsDetected++ })
 			db.quarantineTable(t.Num, err)
 			n++
 		}
@@ -147,15 +152,21 @@ func (db *DB) scrubTable(t *TableMeta, level int) TableScrubResult {
 	res := TableScrubResult{Num: t.Num, Level: level, Size: t.Size, Entries: t.Entries}
 	vs, err := db.verifyTableFile(t)
 	res.BytesVerified = vs.Bytes
-	db.stats.addScrubbedTable(vs.Bytes)
+	corrupt := isCorruptionErr(err)
+	db.stats.update(func(s *Stats) {
+		s.ScrubTablesVerified++
+		s.ScrubBytesVerified += vs.Bytes
+		if corrupt {
+			s.ScrubCorruptions++
+			s.CorruptionsDetected++
+		}
+	})
 	if err == nil {
 		res.OK = true
 		return res
 	}
 	res.Err = err.Error()
-	if isCorruptionErr(err) {
-		db.stats.addScrubCorruption()
-		db.stats.addCorruption()
+	if corrupt {
 		db.quarantineTable(t.Num, err)
 		res.Quarantined = true
 	}
@@ -195,7 +206,7 @@ func nextScrubTarget(v *Version, cursor uint64, quar map[uint64]struct{}) (t *Ta
 func (db *DB) scrubStep() int64 {
 	if db.governor != nil {
 		if !db.governor.tryLeaseIO() {
-			db.stats.addGovernorDenial()
+			db.stats.update(func(s *Stats) { s.GovernorDenials++ })
 			return 0
 		}
 		defer db.governor.returnIO()
@@ -218,7 +229,7 @@ func (db *DB) scrubStep() int64 {
 		return 0
 	}
 	if wrapped {
-		db.stats.addScrubCycle()
+		db.stats.update(func(s *Stats) { s.ScrubCycles++ })
 	}
 	res := db.scrubTable(t, level)
 	// A failed append degrades the store to read-only inside logAndApply.
@@ -294,7 +305,7 @@ func (db *DB) Scrub() (ScrubReport, error) {
 			}
 		}
 	}
-	db.stats.addScrubCycle()
+	db.stats.update(func(s *Stats) { s.ScrubCycles++ })
 	if maxNum > 0 {
 		_ = db.logAndApply(&VersionEdit{ScrubCursor: maxNum}) // failure: store goes read-only
 	}

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,41 +10,43 @@ import (
 	"pcplsm/internal/core"
 )
 
-// Stats aggregates DB activity. All counters are cumulative since Open.
+// Stats aggregates DB activity. All counters are cumulative since Open. It
+// is the one declaration of every counter: a field tagged `metric:"name"`
+// is exported by DB.Metrics under that name (see metrics below).
 type Stats struct {
 	// Puts/Deletes/Gets count user operations.
-	Puts    int64
-	Deletes int64
-	Gets    int64
+	Puts    int64 `metric:"lsm_puts"`
+	Deletes int64 `metric:"lsm_deletes"`
+	Gets    int64 `metric:"lsm_gets"`
 	// FilterSkips counts table probes that a Bloom filter answered without
 	// any block I/O.
-	FilterSkips int64
+	FilterSkips int64 `metric:"lsm_filter_skips"`
 	// BlockCacheHits/Misses count block-cache lookups on the read path.
-	BlockCacheHits   int64
-	BlockCacheMisses int64
+	BlockCacheHits   int64 `metric:"lsm_block_cache_hits"`
+	BlockCacheMisses int64 `metric:"lsm_block_cache_misses"`
 	// BlockCacheEvictions counts blocks dropped from the cache (capacity
 	// pressure plus dead-table eviction); BlockCachePrewarmed counts
 	// compaction output blocks the pre-warm path inserted.
-	BlockCacheEvictions int64
-	BlockCachePrewarmed int64
+	BlockCacheEvictions int64 `metric:"lsm_block_cache_evictions"`
+	BlockCachePrewarmed int64 `metric:"lsm_block_cache_prewarmed"`
 	// BlockCacheBytes/Capacity are the cache's current fill and limit.
-	BlockCacheBytes    int64
-	BlockCacheCapacity int64
+	BlockCacheBytes    int64 `metric:"lsm_block_cache_bytes"`
+	BlockCacheCapacity int64 `metric:"lsm_block_cache_capacity"`
 
 	// Flushes counts memtable→L0 dumps; FlushBytes their output volume.
-	Flushes    int64
+	Flushes    int64 `metric:"lsm_flushes"`
 	FlushBytes int64
 	// FlushWall is the cumulative time spent flushing.
 	FlushWall time.Duration
 
 	// Compactions counts background merges.
-	Compactions int64
+	Compactions int64 `metric:"lsm_compactions"`
 	// TrivialMoves counts picked inputs with no next-level overlap that
 	// were installed as metadata-only edits instead of being rewritten
 	// through the pipeline; TrivialMoveBytes totals the table bytes those
 	// moves spared from rewriting.
-	TrivialMoves     int64
-	TrivialMoveBytes int64
+	TrivialMoves     int64 `metric:"lsm_trivial_moves"`
+	TrivialMoveBytes int64 `metric:"lsm_trivial_move_bytes"`
 	// CompactionInputBytes/OutputBytes total the data volumes.
 	CompactionInputBytes  int64
 	CompactionOutputBytes int64
@@ -54,7 +57,7 @@ type Stats struct {
 	CompactionSteps core.StepTimes
 	// PipelinedCompactions counts the compactions that ran under ModePCP
 	// (Compactions − PipelinedCompactions ran sequentially).
-	PipelinedCompactions int64
+	PipelinedCompactions int64 `metric:"lsm_compactions_pipelined"`
 	// CompactionStageBusy/StageIdle attribute cumulative compaction time to
 	// the pipeline stages: busy is time a stage worker spent working, idle
 	// is worker lifetime spent waiting on the inter-stage queues (zero for
@@ -66,8 +69,8 @@ type Stats struct {
 
 	// StallCount/StallTime measure write pauses (full memtable backlog or
 	// too many L0 tables).
-	StallCount int64
-	StallTime  time.Duration
+	StallCount int64         `metric:"lsm_stall_count"`
+	StallTime  time.Duration `metric:"lsm_stall_ns"`
 
 	// Commit-pipeline counters. WriteGroups counts WAL records written by
 	// the commit path (one per group); GroupedWrites counts the Write calls
@@ -75,10 +78,10 @@ type Stats struct {
 	// size. WALSyncs counts commit-path fsyncs: with SyncWAL on,
 	// WALSyncs/GroupedWrites is the sync amortization (1.0 serial, → 1/N as
 	// grouping kicks in). MaxWriteGroup is the largest group committed.
-	WriteGroups   int64
-	GroupedWrites int64
-	WALSyncs      int64
-	MaxWriteGroup int64
+	WriteGroups   int64 `metric:"lsm_write_groups"`
+	GroupedWrites int64 `metric:"lsm_grouped_writes"`
+	WALSyncs      int64 `metric:"lsm_wal_syncs"`
+	MaxWriteGroup int64 `metric:"lsm_max_write_group"`
 
 	// Memtable gauges (the live memtable at the instant of the snapshot) and
 	// apply counters. MemtableShards is the configured shard count;
@@ -90,29 +93,29 @@ type Stats struct {
 	// committed group (ApplyShardRuns/WriteGroups is the mean apply fan-out)
 	// and ParallelApplies counts groups applied by concurrent shard
 	// goroutines rather than inline.
-	MemtableShards          int64
-	MemtableEntries         int64
-	MemtableMaxShardEntries int64
-	MemtableMinShardEntries int64
-	MemtableArenaReserved   int64
-	MemtableArenaUsed       int64
-	ApplyShardRuns          int64
-	ParallelApplies         int64
+	MemtableShards          int64 `metric:"lsm_memtable_shards"`
+	MemtableEntries         int64 `metric:"lsm_memtable_entries"`
+	MemtableMaxShardEntries int64 `metric:"lsm_memtable_shard_entries_max"`
+	MemtableMinShardEntries int64 `metric:"lsm_memtable_shard_entries_min"`
+	MemtableArenaReserved   int64 `metric:"lsm_memtable_arena_reserved_bytes"`
+	MemtableArenaUsed       int64 `metric:"lsm_memtable_arena_used_bytes"`
+	ApplyShardRuns          int64 `metric:"lsm_apply_shard_runs"`
+	ParallelApplies         int64 `metric:"lsm_parallel_applies"`
 
 	// Compaction-policy state. ActivePolicy names the policy in effect at
 	// the instant of the snapshot; PolicySwitches counts runtime switches
 	// applied by the self-tuner (zero when a policy is pinned).
 	ActivePolicy   string
-	PolicySwitches int64
+	PolicySwitches int64 `metric:"lsm_policy_switches"`
 
 	// Error-policy counters. BackgroundRetries counts transient background
 	// failures that were retried; BackgroundErrors counts failures that
 	// turned sticky (retries exhausted, WAL/manifest poison);
 	// CorruptionsDetected counts checksum/structural failures observed in
 	// on-disk data (each detection event, not distinct files).
-	BackgroundRetries   int64
-	BackgroundErrors    int64
-	CorruptionsDetected int64
+	BackgroundRetries   int64 `metric:"lsm_background_retries"`
+	BackgroundErrors    int64 `metric:"lsm_background_errors"`
+	CorruptionsDetected int64 `metric:"lsm_corruptions_detected"`
 
 	// Integrity-subsystem counters. ScrubTablesVerified/ScrubBytesVerified
 	// total the tables and physical bytes the scrubber has read back and
@@ -122,13 +125,13 @@ type Stats struct {
 	// quarantined (a gauge, not cumulative). ParanoidVerifies counts
 	// verify-before-install passes over fresh flush/compaction outputs and
 	// ParanoidRejections the outputs those passes discarded.
-	ScrubTablesVerified int64
-	ScrubBytesVerified  int64
-	ScrubCycles         int64
-	ScrubCorruptions    int64
-	QuarantinedTables   int64
-	ParanoidVerifies    int64
-	ParanoidRejections  int64
+	ScrubTablesVerified int64 `metric:"lsm_scrub_tables_verified"`
+	ScrubBytesVerified  int64 `metric:"lsm_scrub_bytes_verified"`
+	ScrubCycles         int64 `metric:"lsm_scrub_cycles"`
+	ScrubCorruptions    int64 `metric:"lsm_scrub_corruptions"`
+	QuarantinedTables   int64 `metric:"lsm_quarantined_tables"`
+	ParanoidVerifies    int64 `metric:"lsm_paranoid_verifies"`
+	ParanoidRejections  int64 `metric:"lsm_paranoid_rejections"`
 
 	// LastCompaction holds the most recent compaction's full statistics
 	// (including its Pipeline block: worker counts, resizes, queue
@@ -141,30 +144,30 @@ type Stats struct {
 	// compactions; GovernorDenials counts grow attempts the shared pools
 	// rejected — sustained denials mean concurrent background work is
 	// contending for the same tokens.
-	PipelineComputeTokens int64
-	PipelineIOTokens      int64
-	PipelineComputeLeased int64
-	PipelineIOLeased      int64
-	GovernorGrows         int64
-	GovernorShrinks       int64
-	GovernorDenials       int64
+	PipelineComputeTokens int64 `metric:"lsm_pipeline_compute_tokens"`
+	PipelineIOTokens      int64 `metric:"lsm_pipeline_io_tokens"`
+	PipelineComputeLeased int64 `metric:"lsm_pipeline_compute_leased"`
+	PipelineIOLeased      int64 `metric:"lsm_pipeline_io_leased"`
+	GovernorGrows         int64 `metric:"lsm_governor_grows"`
+	GovernorShrinks       int64 `metric:"lsm_governor_shrinks"`
+	GovernorDenials       int64 `metric:"lsm_governor_denials"`
 
 	// Scheduler gauges: a snapshot of the concurrent background work in
 	// flight at the instant Stats() was called.
 	//
 	// FlushesInFlight is 0 or 1 (flushes conflict with each other).
-	FlushesInFlight int64
+	FlushesInFlight int64 `metric:"lsm_flushes_inflight"`
 	// CompactionsInFlight counts compactions currently claimed.
-	CompactionsInFlight int64
+	CompactionsInFlight int64 `metric:"lsm_compactions_inflight"`
 	// CompactionsInFlightByLevel breaks CompactionsInFlight down by source
 	// level (an entry at L covers the L→L+1 level pair).
 	CompactionsInFlightByLevel [NumLevels]int64
 	// ClaimedBytes totals the input+overlap table bytes claimed by
 	// in-flight compactions.
-	ClaimedBytes int64
+	ClaimedBytes int64 `metric:"lsm_claimed_bytes"`
 	// MaxConcurrentBackground is the high-water mark of simultaneous
 	// background units (flushes + compactions) since Open.
-	MaxConcurrentBackground int64
+	MaxConcurrentBackground int64 `metric:"lsm_max_concurrent_background"`
 }
 
 // CompactionBandwidth returns bytes of compaction input processed per
@@ -184,21 +187,42 @@ func (s Stats) String() string {
 		s.CompactionSteps.Breakdown())
 }
 
-// statsCollector guards mutation of Stats. The pure operation counters and
-// scheduler gauges live in atomics so the read/write hot paths never take a
-// lock or allocate; the mutex only covers the cold aggregates (durations,
-// step breakdowns, per-compaction stats).
+// metrics renders s under its metric names: every tagged field, plus the
+// nested values that have no flat field of their own.
+func (s Stats) metrics() map[string]int64 {
+	m := map[string]int64{}
+	v, t := reflect.ValueOf(s), reflect.TypeOf(s)
+	for i := 0; i < t.NumField(); i++ {
+		if name := t.Field(i).Tag.Get("metric"); name != "" {
+			m[name] = v.Field(i).Int()
+		}
+	}
+	for l, n := range s.CompactionsInFlightByLevel {
+		m[fmt.Sprintf("lsm_compactions_inflight_l%d", l)] = n
+	}
+	busy, idle := s.CompactionStageBusy, s.CompactionStageIdle
+	m["lsm_compaction_stage_busy_read_ns"] = int64(busy.Read)
+	m["lsm_compaction_stage_busy_compute_ns"] = int64(busy.Compute)
+	m["lsm_compaction_stage_busy_write_ns"] = int64(busy.Write)
+	m["lsm_compaction_stage_idle_read_ns"] = int64(idle.Read)
+	m["lsm_compaction_stage_idle_compute_ns"] = int64(idle.Compute)
+	m["lsm_compaction_stage_idle_write_ns"] = int64(idle.Write)
+	m["lsm_compaction_queue_hw_compute"] = int64(s.LastCompaction.Pipeline.ComputeQueueHighWater)
+	m["lsm_compaction_queue_hw_write"] = int64(s.LastCompaction.Pipeline.WriteQueueHighWater)
+	m["lsm_policy_active"] = policyIndex(s.ActivePolicy)
+	return m
+}
+
+// statsCollector guards mutation of Stats. The Put/Get/commit counters live
+// in atomics so the read/write hot paths never take a lock or allocate;
+// every other counter is a plain Stats field changed through update. The
+// gauges Stats() samples at read time (scheduler claims, quarantine,
+// memtable, cache, governor pools) are not kept here at all.
 type statsCollector struct {
 	puts        atomic.Int64
 	deletes     atomic.Int64
 	gets        atomic.Int64
 	filterSkips atomic.Int64
-
-	flushesInFlight     atomic.Int64
-	compactionsInFlight atomic.Int64
-	compactionsByLevel  [NumLevels]atomic.Int64
-	claimedBytes        atomic.Int64
-	maxConcurrent       atomic.Int64
 
 	writeGroups   atomic.Int64
 	groupedWrites atomic.Int64
@@ -207,26 +231,6 @@ type statsCollector struct {
 
 	applyShardRuns  atomic.Int64
 	parallelApplies atomic.Int64
-
-	bgRetries   atomic.Int64
-	bgErrors    atomic.Int64
-	corruptions atomic.Int64
-
-	scrubTables      atomic.Int64
-	scrubBytes       atomic.Int64
-	scrubCycles      atomic.Int64
-	scrubCorruptions atomic.Int64
-	quarantined      atomic.Int64
-	paranoidVerifies atomic.Int64
-	paranoidRejects  atomic.Int64
-
-	governorGrows   atomic.Int64
-	governorShrinks atomic.Int64
-	governorDenials atomic.Int64
-
-	trivialMoves     atomic.Int64
-	trivialMoveBytes atomic.Int64
-	policySwitches   atomic.Int64
 
 	mu sync.Mutex
 	s  Stats
@@ -243,38 +247,6 @@ func (c *statsCollector) addPutsDeletes(puts, dels int64) {
 
 func (c *statsCollector) addGet()        { c.gets.Add(1) }
 func (c *statsCollector) addFilterSkip() { c.filterSkips.Add(1) }
-
-func (c *statsCollector) addBackgroundRetry() { c.bgRetries.Add(1) }
-func (c *statsCollector) addBackgroundError() { c.bgErrors.Add(1) }
-func (c *statsCollector) addCorruption()      { c.corruptions.Add(1) }
-
-// addScrubbedTable records one table verified by a scrub (bytes of physical
-// file image read back).
-func (c *statsCollector) addScrubbedTable(bytes int64) {
-	c.scrubTables.Add(1)
-	c.scrubBytes.Add(bytes)
-}
-
-func (c *statsCollector) addScrubCycle()      { c.scrubCycles.Add(1) }
-func (c *statsCollector) addScrubCorruption() { c.scrubCorruptions.Add(1) }
-
-// setQuarantined publishes the current quarantined-table count.
-func (c *statsCollector) setQuarantined(n int64) { c.quarantined.Store(n) }
-
-func (c *statsCollector) addParanoidVerify() { c.paranoidVerifies.Add(1) }
-func (c *statsCollector) addParanoidReject() { c.paranoidRejects.Add(1) }
-
-func (c *statsCollector) addGovernorGrow()   { c.governorGrows.Add(1) }
-func (c *statsCollector) addGovernorShrink() { c.governorShrinks.Add(1) }
-func (c *statsCollector) addGovernorDenial() { c.governorDenials.Add(1) }
-
-// addTrivialMove records one metadata-only table move of size bytes.
-func (c *statsCollector) addTrivialMove(size int64) {
-	c.trivialMoves.Add(1)
-	c.trivialMoveBytes.Add(size)
-}
-
-func (c *statsCollector) addPolicySwitch() { c.policySwitches.Add(1) }
 
 // addCommit records one committed group of groupSize writers, synced with
 // one fsync when synced is set.
@@ -301,39 +273,6 @@ func (c *statsCollector) addApply(shardsTouched int64, parallel bool) {
 	}
 }
 
-// beginFlush/endFlush and beginCompaction/endCompaction maintain the
-// scheduler gauges around each background unit.
-func (c *statsCollector) beginFlush() {
-	c.flushesInFlight.Add(1)
-	c.noteConcurrency()
-}
-
-func (c *statsCollector) endFlush() { c.flushesInFlight.Add(-1) }
-
-func (c *statsCollector) beginCompaction(level int, claimedBytes int64) {
-	c.compactionsInFlight.Add(1)
-	c.compactionsByLevel[level].Add(1)
-	c.claimedBytes.Add(claimedBytes)
-	c.noteConcurrency()
-}
-
-func (c *statsCollector) endCompaction(level int, claimedBytes int64) {
-	c.compactionsInFlight.Add(-1)
-	c.compactionsByLevel[level].Add(-1)
-	c.claimedBytes.Add(-claimedBytes)
-}
-
-// noteConcurrency ratchets the high-water mark of concurrent units.
-func (c *statsCollector) noteConcurrency() {
-	cur := c.flushesInFlight.Load() + c.compactionsInFlight.Load()
-	for {
-		max := c.maxConcurrent.Load()
-		if cur <= max || c.maxConcurrent.CompareAndSwap(max, cur) {
-			return
-		}
-	}
-}
-
 func (c *statsCollector) snapshot() Stats {
 	c.mu.Lock()
 	s := c.s
@@ -342,35 +281,12 @@ func (c *statsCollector) snapshot() Stats {
 	s.Deletes = c.deletes.Load()
 	s.Gets = c.gets.Load()
 	s.FilterSkips = c.filterSkips.Load()
-	s.FlushesInFlight = c.flushesInFlight.Load()
-	s.CompactionsInFlight = c.compactionsInFlight.Load()
-	for l := range s.CompactionsInFlightByLevel {
-		s.CompactionsInFlightByLevel[l] = c.compactionsByLevel[l].Load()
-	}
-	s.ClaimedBytes = c.claimedBytes.Load()
-	s.MaxConcurrentBackground = c.maxConcurrent.Load()
 	s.WriteGroups = c.writeGroups.Load()
 	s.GroupedWrites = c.groupedWrites.Load()
 	s.WALSyncs = c.walSyncs.Load()
 	s.MaxWriteGroup = c.maxWriteGroup.Load()
 	s.ApplyShardRuns = c.applyShardRuns.Load()
 	s.ParallelApplies = c.parallelApplies.Load()
-	s.BackgroundRetries = c.bgRetries.Load()
-	s.BackgroundErrors = c.bgErrors.Load()
-	s.CorruptionsDetected = c.corruptions.Load()
-	s.ScrubTablesVerified = c.scrubTables.Load()
-	s.ScrubBytesVerified = c.scrubBytes.Load()
-	s.ScrubCycles = c.scrubCycles.Load()
-	s.ScrubCorruptions = c.scrubCorruptions.Load()
-	s.QuarantinedTables = c.quarantined.Load()
-	s.ParanoidVerifies = c.paranoidVerifies.Load()
-	s.ParanoidRejections = c.paranoidRejects.Load()
-	s.GovernorGrows = c.governorGrows.Load()
-	s.GovernorShrinks = c.governorShrinks.Load()
-	s.GovernorDenials = c.governorDenials.Load()
-	s.TrivialMoves = c.trivialMoves.Load()
-	s.TrivialMoveBytes = c.trivialMoveBytes.Load()
-	s.PolicySwitches = c.policySwitches.Load()
 	return s
 }
 

@@ -160,55 +160,3 @@ func (m *Meter) WindowRate() float64 {
 	m.winFrom = now
 	return rate
 }
-
-// Gauge is a named atomic integer instrument. Subsystems update gauges on
-// their own schedule; readers snapshot them through a Registry.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores an absolute value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add applies a delta.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Registry is a named collection of gauges, the export surface subsystems
-// (like the LSM background scheduler) publish live state through. Gauges
-// are created on first use and live forever; lookups after creation are
-// lock-free on the Gauge itself.
-type Registry struct {
-	mu     sync.Mutex
-	gauges map[string]*Gauge
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{gauges: map[string]*Gauge{}}
-}
-
-// Gauge returns the named gauge, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Snapshot returns the current value of every registered gauge.
-func (r *Registry) Snapshot() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Load()
-	}
-	return out
-}

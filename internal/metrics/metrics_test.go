@@ -124,56 +124,3 @@ func TestMeterConcurrent(t *testing.T) {
 		t.Fatalf("Total = %d", m.Total())
 	}
 }
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	if g.Load() != 0 {
-		t.Fatal("zero gauge should read 0")
-	}
-	g.Set(42)
-	g.Add(-2)
-	if got := g.Load(); got != 40 {
-		t.Fatalf("Load = %d, want 40", got)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if snap := r.Snapshot(); len(snap) != 0 {
-		t.Fatalf("empty registry snapshot = %v", snap)
-	}
-	a := r.Gauge("a")
-	a.Set(7)
-	if r.Gauge("a") != a {
-		t.Fatal("Gauge must return the same instance for a name")
-	}
-	r.Gauge("b").Add(3)
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap["a"] != 7 || snap["b"] != 3 {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-	// Snapshot is a copy, not a live view.
-	a.Set(100)
-	if snap["a"] != 7 {
-		t.Fatal("snapshot mutated after the fact")
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				r.Gauge("shared").Add(1)
-				r.Snapshot()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Gauge("shared").Load(); got != 8000 {
-		t.Fatalf("shared = %d, want 8000", got)
-	}
-}

@@ -246,6 +246,40 @@ func TestReadMissingLog(t *testing.T) {
 	}
 }
 
+// FuzzWALReader: a Reader over arbitrary bytes never panics, reports every
+// damaged region as ErrCorrupt, and reaches io.EOF even when the caller
+// keeps salvaging past errors. Every call but the last before EOF consumes
+// at least one header, which bounds the number of calls.
+func FuzzWALReader(f *testing.F) {
+	fs := storage.NewMemFS()
+	writeLog(f, fs, "small", [][]byte{[]byte("one"), {}, []byte("three")})
+	writeLog(f, fs, "fragmented", [][]byte{bytes.Repeat([]byte{'f'}, BlockSize+100), []byte("tail")})
+	for _, name := range []string{"small", "fragmented"} {
+		data, err := storage.ReadAll(fs, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)-3]) // torn tail
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := NewReaderBytes(data)
+		for calls := 0; ; calls++ {
+			if calls > len(data)/headerSize+2 {
+				t.Fatalf("no io.EOF after %d calls over %d bytes", calls, len(data))
+			}
+			_, err := r.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error %v does not wrap ErrCorrupt", err)
+			}
+		}
+	})
+}
+
 func BenchmarkAppend100B(b *testing.B) {
 	fs := storage.NewMemFS()
 	f, _ := fs.Create(fmt.Sprintf("log-%d", b.N))

@@ -348,11 +348,11 @@ func (db *DB) WaitIdle() error { return db.inner.WaitIdle() }
 // breakdown and bandwidth (the paper's metrics).
 func (db *DB) Stats() Stats { return db.inner.Stats() }
 
-// Metrics returns a point-in-time snapshot of the store's gauge registry:
-// the scheduler's live state (lsm_flushes_inflight, lsm_compactions_inflight
-// and its per-level lsm_compactions_inflight_l* breakdown, lsm_claimed_bytes)
-// plus cumulative counters mirrored from Stats under lsm_* names.
-func (db *DB) Metrics() map[string]int64 { return db.inner.Metrics().Snapshot() }
+// Metrics returns one Stats snapshot flattened to lsm_* names: the
+// cumulative counters, plus the gauges sampled at that instant (in-flight
+// flushes and compactions per level, claimed bytes, governor pools, the
+// active policy). Each name is declared once, on its Stats field.
+func (db *DB) Metrics() map[string]int64 { return db.inner.Metrics() }
 
 // Levels returns the table count per level (diagnostics).
 func (db *DB) Levels() []int {
