@@ -181,7 +181,8 @@ func Run(cfg Config, inputs []*TableSource, sink OutputSink) (*Result, error) {
 	if len(inputs) == 0 {
 		return nil, ErrNoInput
 	}
-	e := &engine{cfg: cfg, inputs: inputs, sink: sink, cancel: make(chan struct{})}
+	e := &engine{cfg: cfg, inputs: inputs, sink: sink, cancel: make(chan struct{}),
+		cursors: make([]s1Cursor, len(inputs))}
 	subtasks := Partition(inputs, cfg.SubtaskSize)
 
 	start := time.Now()
@@ -230,6 +231,8 @@ type engine struct {
 	inputs []*TableSource
 	sink   OutputSink
 	clock  stepClock
+	// cursors holds one S1 cursor per input, indexed like inputs.
+	cursors []s1Cursor
 
 	inputBytes, outputBytes          atomic.Int64
 	entriesIn, entriesOut            atomic.Int64
@@ -353,35 +356,79 @@ func (e *engine) runSequential(subtasks []Subtask) {
 }
 
 // readSubtask performs S1: one contiguous physical read per span, sliced
-// into per-block buffers.
+// into per-block buffers. A span that starts at the block its input's
+// cursor kept takes that block from the cursor and reads only the rest, so
+// the block spanning a sub-task boundary is fetched once, not once per
+// sub-task that uses it.
 func (e *engine) readSubtask(st *Subtask) (*rawJob, error) {
 	job := &rawJob{st: st, raw: make([][][]byte, len(st.Spans))}
 	for i, sp := range st.Spans {
 		src := e.inputs[sp.Source]
-		first := src.Entries[sp.From].Handle
-		last := src.Entries[sp.To-1].Handle
-		span := sstable.BlockHandle{
-			Offset: first.Offset,
-			Length: last.Offset + last.Length - first.Offset,
+		cur := &e.cursors[sp.Source]
+		blocks := make([][]byte, 0, sp.To-sp.From)
+		from := sp.From
+		if kept := cur.take(from); kept != nil {
+			blocks = append(blocks, kept)
+			from++
 		}
-		var buf []byte
-		var err error
-		e.clock.time(S1Read, func() {
-			buf, err = src.R.ReadRaw(nil, span)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: S1 read span %d of subtask %d: %w", i, st.Index, err)
-		}
-		e.inputBytes.Add(span.Length)
-		blocks := make([][]byte, sp.To-sp.From)
-		for j := sp.From; j < sp.To; j++ {
-			h := src.Entries[j].Handle
-			off := h.Offset - first.Offset
-			blocks[j-sp.From] = buf[off : off+h.Length]
+		if from < sp.To {
+			first := src.Entries[from].Handle
+			last := src.Entries[sp.To-1].Handle
+			span := sstable.BlockHandle{
+				Offset: first.Offset,
+				Length: last.Offset + last.Length - first.Offset,
+			}
+			var buf []byte
+			var err error
+			e.clock.time(S1Read, func() {
+				buf, err = src.R.ReadRaw(nil, span)
+			})
+			if err != nil {
+				return nil, fmt.Errorf("core: S1 read span %d of subtask %d: %w", i, st.Index, err)
+			}
+			e.inputBytes.Add(span.Length)
+			for j := from; j < sp.To; j++ {
+				h := src.Entries[j].Handle
+				off := h.Offset - first.Offset
+				blocks = append(blocks, buf[off:off+h.Length])
+			}
+			cur.keep(sp.To-1, blocks[len(blocks)-1])
 		}
 		job.raw[i] = blocks
 	}
 	return job, nil
+}
+
+// s1Cursor keeps the last data block S1 read from one input. Consecutive
+// sub-tasks share at most one block per input, the one spanning their
+// boundary, so the kept block is the only one a later span can ask for
+// again. The lock guards the check and the update, never the read itself:
+// an S-PPCP reader that runs ahead of its neighbour just reads fresh.
+type s1Cursor struct {
+	mu   sync.Mutex
+	idx  int    // block index of kept
+	kept []byte // private copy of block idx's physical bytes; never mutated
+}
+
+// take returns the kept block if it is block idx, else nil.
+func (c *s1Cursor) take(idx int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.kept != nil && c.idx == idx {
+		return c.kept
+	}
+	return nil
+}
+
+// keep records block idx unless the cursor already holds a later one. The
+// copy stops the cursor from pinning the whole span buffer it came from.
+func (c *s1Cursor) keep(idx int, physical []byte) {
+	cp := append([]byte(nil), physical...)
+	c.mu.Lock()
+	if c.kept == nil || idx > c.idx {
+		c.idx, c.kept = idx, cp
+	}
+	c.mu.Unlock()
 }
 
 // plainJob is a sub-task after S2+S3: decompressed input blocks per span.

@@ -105,10 +105,18 @@ func mergeEmit(st *Subtask, sources []*concatIter, dropTombstones bool, retainSe
 	if retainSeq == 0 {
 		retainSeq = ikey.MaxSeq
 	}
+	// Entries outside the range belong to a neighbouring sub-task (their
+	// block straddles the boundary) and are not merged or counted here.
+	// Those at or below Lo lead their source and are skipped before the
+	// merge starts, so the first entry the merge meets outside the range
+	// lies above Hi, and so does every entry still queued: the merge ends.
 	h := &mergeHeap{}
 	for si, it := range sources {
-		if it.next() {
-			h.items = append(h.items, &heapItem{it: it, src: si})
+		for it.next() {
+			if st.Lo == nil || ikey.Compare(it.key(), st.Lo) > 0 {
+				h.items = append(h.items, &heapItem{it: it, src: si})
+				break
+			}
 		}
 		if it.err != nil {
 			return seen, emitted, it.err
@@ -125,30 +133,29 @@ func mergeEmit(st *Subtask, sources []*concatIter, dropTombstones bool, retainSe
 	for h.Len() > 0 {
 		top := h.items[0]
 		k, v := top.it.key(), top.it.value()
-		if st.contains(k) {
-			// Entries outside the range belong to a neighbouring sub-task
-			// (their block straddles the boundary) and are not counted here.
-			seen++
-			user := ikey.UserKey(k)
-			if !haveLast || string(user) != string(lastUser) {
-				lastUser = append(lastUser[:0], user...)
-				haveLast = true
-				prevSeq = freshKey
-			}
-			switch {
-			case prevSeq <= retainSeq:
-				// A newer version is visible to every snapshot: this one is
-				// dead for all readers.
-			case dropTombstones && ikey.KindOf(k) == ikey.KindDelete && ikey.Seq(k) <= retainSeq:
-				// Tombstone visible to every reader and nothing deeper can
-				// resurface: elide it (and the retention rule above will
-				// drop the older versions it shadows).
-			default:
-				emit(k, v)
-				emitted++
-			}
-			prevSeq = ikey.Seq(k)
+		if !st.contains(k) {
+			break
 		}
+		seen++
+		user := ikey.UserKey(k)
+		if !haveLast || string(user) != string(lastUser) {
+			lastUser = append(lastUser[:0], user...)
+			haveLast = true
+			prevSeq = freshKey
+		}
+		switch {
+		case prevSeq <= retainSeq:
+			// A newer version is visible to every snapshot: this one is
+			// dead for all readers.
+		case dropTombstones && ikey.KindOf(k) == ikey.KindDelete && ikey.Seq(k) <= retainSeq:
+			// Tombstone visible to every reader and nothing deeper can
+			// resurface: elide it (and the retention rule above will
+			// drop the older versions it shadows).
+		default:
+			emit(k, v)
+			emitted++
+		}
+		prevSeq = ikey.Seq(k)
 		if top.it.next() {
 			heap.Fix(h, 0)
 		} else {

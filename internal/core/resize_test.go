@@ -48,12 +48,18 @@ func resizeDump(t *testing.T, cfg Config) ([][]byte, *Result) {
 	if err != nil {
 		t.Fatalf("run %v: %v", cfg.Mode, err)
 	}
+	return dumpTables(t, fs, res.Outputs), res
+}
+
+// dumpTables returns the bytes of the output tables in key order.
+func dumpTables(t *testing.T, fs storage.FS, outs []Output) [][]byte {
+	t.Helper()
 	type tableDump struct {
 		smallest string
 		content  []byte
 	}
 	var dumps []tableDump
-	for _, o := range res.Outputs {
+	for _, o := range outs {
 		data, err := storage.ReadAll(fs, o.Name)
 		if err != nil {
 			t.Fatal(err)
@@ -65,7 +71,7 @@ func resizeDump(t *testing.T, cfg Config) ([][]byte, *Result) {
 	for i := range dumps {
 		out[i] = dumps[i].content
 	}
-	return out, res
+	return out
 }
 
 func assertSameTables(t *testing.T, name string, got, ref [][]byte) {

@@ -167,7 +167,11 @@ type Stats struct {
 	// InputTables/OutputTables count tables consumed and produced.
 	InputTables  int
 	OutputTables int
-	// InputBytes is the physical bytes read (S1); OutputBytes written (S7).
+	// InputBytes is the physical bytes S1 fetched from the input files.
+	// Each input block counts once: a block spanning a sub-task boundary
+	// comes from its input's cursor the second time. Only an S-PPCP reader
+	// that runs ahead of its neighbour fetches (and counts) one again.
+	// OutputBytes is the bytes S7 wrote.
 	InputBytes  int64
 	OutputBytes int64
 	// EntriesIn/EntriesOut/EntriesDropped count key-value entries.

@@ -39,7 +39,9 @@ type Subtask struct {
 	Lo, Hi []byte
 	// Spans lists the input blocks intersecting the range.
 	Spans []BlockSpan
-	// InputBytes is the physical size of the spanned blocks.
+	// InputBytes is the physical size of the spanned blocks. A block that
+	// spans a boundary counts in both neighbours, so the sum over sub-tasks
+	// exceeds what S1 reads; it sizes partitions only.
 	InputBytes int64
 }
 

@@ -47,7 +47,8 @@ type Stats struct {
 	// moves spared from rewriting.
 	TrivialMoves     int64 `metric:"lsm_trivial_moves"`
 	TrivialMoveBytes int64 `metric:"lsm_trivial_move_bytes"`
-	// CompactionInputBytes/OutputBytes total the data volumes.
+	// CompactionInputBytes/OutputBytes total the data volumes: the bytes
+	// S1 fetched (core.Stats.InputBytes) and the bytes S7 wrote.
 	CompactionInputBytes  int64
 	CompactionOutputBytes int64
 	// CompactionWall is the cumulative compaction time.
