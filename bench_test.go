@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"pcplsm/internal/compress"
 	"pcplsm/internal/core"
@@ -278,8 +277,8 @@ func BenchmarkAblation_Codec(b *testing.B) {
 // issuing synchronous Puts against an in-memory store with background work
 // disabled, so only the commit path (WAL append + optional fsync + memtable
 // insert) is on the clock. With SyncWAL on, syncs/commit shows the
-// amortization group commit buys; compare against DisableGroupCommit for
-// the serial baseline.
+// amortization group commit buys: the writers1 rows are the one-writer
+// baseline, where every commit pays its own fsync.
 func BenchmarkParallelWriters(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, syncWAL := range []bool{false, true} {
@@ -416,55 +415,5 @@ func BenchmarkGetHit(b *testing.B) {
 		if _, err := db.Get([]byte(fmt.Sprintf("user%012d", i%n))); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-var (
-	nowFunc   = time.Now
-	sinceFunc = time.Since
-)
-
-// BenchmarkAblation_PipelinedFlush measures the flush-path extension: the
-// paper's §IV-C notes unpipelined operations (like memtable dumps) eat into
-// the end-to-end throughput gain; overlapping flush compute with its writes
-// recovers part of it.
-func BenchmarkAblation_PipelinedFlush(b *testing.B) {
-	for _, pipelined := range []bool{false, true} {
-		name := "sequential"
-		if pipelined {
-			name = "pipelined"
-		}
-		b.Run(name, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				db, err := Open(Options{
-					Simulate:       &SimulatedStorage{Device: "ssd", TimeScale: 1.0},
-					MemtableBytes:  512 << 10,
-					TableBytes:     512 << 10,
-					PipelinedFlush: pipelined,
-					// Isolate the flush path: no background compactions.
-					DisableAutoCompaction: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				const n = 30_000
-				key := make([]byte, 16)
-				val := make([]byte, 100)
-				start := nowFunc()
-				for j := 0; j < n; j++ {
-					copy(key, fmt.Sprintf("user%012d", j))
-					if err := db.Put(key, val); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := db.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				rate = float64(n) / sinceFunc(start).Seconds()
-				db.Close()
-			}
-			b.ReportMetric(rate, "inserts/s")
-		})
 	}
 }

@@ -32,8 +32,6 @@ type CrashConfig struct {
 	Seed int64
 	// Writers is the number of concurrent writer goroutines (default 3).
 	Writers int
-	// Serial uses the serial commit path instead of group commit.
-	Serial bool
 	// SCP compacts with the sequential baseline procedure. The default
 	// exercises the live pipeline: ModePCP with parallel stage workers and
 	// the adaptive governor, so a power cut can land mid-pipeline with
@@ -72,7 +70,6 @@ func (c CrashConfig) withDefaults() CrashConfig {
 // CrashCycleResult summarizes one power-cut/reopen cycle.
 type CrashCycleResult struct {
 	Seed        int64
-	Serial      bool
 	SCP         bool
 	CutOps      int
 	AckedBatch  int
@@ -99,7 +96,7 @@ type crashBatch struct {
 // rotation, flushes, and compactions. The PCP leg (scp=false) runs parallel
 // stage workers so the cut can tear a compaction with several output
 // writers mid-file.
-func crashGeometry(fs storage.FS, serial, scp bool, policy string) lsm.Options {
+func crashGeometry(fs storage.FS, scp bool, policy string) lsm.Options {
 	opts := lsm.Options{
 		FS:                  fs,
 		MemtableSize:        8 << 10,
@@ -107,7 +104,6 @@ func crashGeometry(fs storage.FS, serial, scp bool, policy string) lsm.Options {
 		BlockSize:           512,
 		L0CompactionTrigger: 2,
 		SyncWAL:             true,
-		DisableGroupCommit:  serial,
 		CompactionPolicy:    policy,
 		BackgroundRetry:     lsm.BackgroundRetryPolicy{Max: 2, BaseDelay: 200 * time.Microsecond},
 	}
@@ -127,7 +123,7 @@ func crashGeometry(fs storage.FS, serial, scp bool, policy string) lsm.Options {
 // recovery contract, returning an error describing the first violation.
 func RunCrashCycle(cfg CrashConfig) (CrashCycleResult, error) {
 	cfg = cfg.withDefaults()
-	res := CrashCycleResult{Seed: cfg.Seed, Serial: cfg.Serial, SCP: cfg.SCP}
+	res := CrashCycleResult{Seed: cfg.Seed, SCP: cfg.SCP}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cutOps := cfg.CutOps
 	if cutOps <= 0 {
@@ -137,7 +133,7 @@ func RunCrashCycle(cfg CrashConfig) (CrashCycleResult, error) {
 
 	inner := storage.NewMemFS()
 	ffs := storage.NewSeededFaultFS(inner, cfg.Seed)
-	db, err := lsm.Open(crashGeometry(ffs, cfg.Serial, cfg.SCP, cfg.Policy))
+	db, err := lsm.Open(crashGeometry(ffs, cfg.SCP, cfg.Policy))
 	if err != nil {
 		return res, fmt.Errorf("initial open: %w", err)
 	}
@@ -194,7 +190,7 @@ func RunCrashCycle(cfg CrashConfig) (CrashCycleResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("rendering crash image: %w", err)
 	}
-	db2, err := lsm.Open(crashGeometry(img, cfg.Serial, cfg.SCP, cfg.Policy))
+	db2, err := lsm.Open(crashGeometry(img, cfg.SCP, cfg.Policy))
 	if err != nil {
 		return res, fmt.Errorf("reopen after cut: %w", err)
 	}
@@ -209,8 +205,8 @@ func RunCrashCycle(cfg CrashConfig) (CrashCycleResult, error) {
 	checked, err := verifyCrashState(db2, logs)
 	res.KeysChecked = checked
 	if err != nil {
-		return res, fmt.Errorf("seed %d (serial=%v, scp=%v, cut at op %d): %w",
-			cfg.Seed, cfg.Serial, cfg.SCP, cutOps, err)
+		return res, fmt.Errorf("seed %d (scp=%v, cut at op %d): %w",
+			cfg.Seed, cfg.SCP, cutOps, err)
 	}
 	return res, nil
 }

@@ -36,11 +36,10 @@ func crashPolicy(i int) string {
 }
 
 // TestCrashCycles is the acceptance gate: many seeded power-cut/reopen
-// cycles across the commit-mode × compaction-procedure × compaction-policy
-// matrix (grouped and serial commits, parallel-PCP and SCP compactions,
-// auto-tuned and pinned policies), zero lost acknowledged writes and zero
-// torn batches. Cycles are sharded into parallel subtests so -race runs
-// stay within test timeouts.
+// cycles across the compaction-procedure × compaction-policy matrix
+// (parallel-PCP and SCP compactions, auto-tuned and pinned policies), zero
+// lost acknowledged writes and zero torn batches. Cycles are sharded into
+// parallel subtests so -race runs stay within test timeouts.
 func TestCrashCycles(t *testing.T) {
 	cycles := 200
 	if testing.Short() {
@@ -60,7 +59,6 @@ func TestCrashCycles(t *testing.T) {
 				seed := base + int64(lo+i)
 				res, err := RunCrashCycle(CrashConfig{
 					Seed:   seed,
-					Serial: (lo+i)%2 == 1,
 					SCP:    (lo+i)%4 >= 2,
 					Policy: crashPolicy(lo + i),
 				})

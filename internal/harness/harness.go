@@ -330,9 +330,6 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 	if err != nil {
 		return LoadResult{}, err
 	}
-	// Scaled-down geometry: the paper's 4MiB memtable against 50M entries
-	// behaves, proportionally, like a 512KiB memtable against our scaled
-	// loads — lots of flushes and multi-level compactions.
 	// Scaled-down geometry: proportional to the paper's (4 MiB memtable vs
 	// tens of millions of entries), so the tree sees many flushes and
 	// multi-level compactions. The sub-task size shrinks with the geometry
@@ -386,11 +383,4 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		CompactionBandwidth: st.CompactionBandwidth(),
 		Stats:               st,
 	}, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -33,8 +33,6 @@ type ScrubConfig struct {
 	// Seed drives the workload, the rot target and offsets, and the garble
 	// fault of the paranoid leg.
 	Seed int64
-	// Serial uses the serial commit path instead of group commit.
-	Serial bool
 	// Keys is the keyspace size per table-producing round (default 150).
 	Keys int
 	// ValueLen pads values to roughly this many bytes (default 48).
@@ -64,7 +62,6 @@ func (c ScrubConfig) withDefaults() ScrubConfig {
 // ScrubCycleResult summarizes one cycle.
 type ScrubCycleResult struct {
 	Seed   int64
-	Serial bool
 	Rotted string
 	// CyclesAtDetection is how many scrub cycles completed between the rot
 	// injection and the quarantine landing: <= 2 means the rot was caught
@@ -80,8 +77,8 @@ type ScrubCycleResult struct {
 
 // scrubGeometry sizes the store so a short workload yields several tables,
 // with the background scrubber cycling aggressively and unthrottled.
-func scrubGeometry(fs storage.FS, serial bool) lsm.Options {
-	opts := crashGeometry(fs, serial, false, "")
+func scrubGeometry(fs storage.FS) lsm.Options {
+	opts := crashGeometry(fs, false, "")
 	opts.DisableAutoCompaction = true // keep the rot target alive and in place
 	opts.ScrubInterval = time.Millisecond
 	opts.ScrubBytesPerSec = -1
@@ -152,16 +149,15 @@ func auditScrubState(db *lsm.DB, expected map[string]string) (map[string]bool, i
 // integrity contract, returning an error describing the first violation.
 func RunScrubCycle(cfg ScrubConfig) (ScrubCycleResult, error) {
 	cfg = cfg.withDefaults()
-	res := ScrubCycleResult{Seed: cfg.Seed, Serial: cfg.Serial}
+	res := ScrubCycleResult{Seed: cfg.Seed}
 	fail := func(format string, a ...any) (ScrubCycleResult, error) {
-		return res, fmt.Errorf("scrub cycle seed %d (serial=%v): %w",
-			cfg.Seed, cfg.Serial, fmt.Errorf(format, a...))
+		return res, fmt.Errorf("scrub cycle seed %d: %w", cfg.Seed, fmt.Errorf(format, a...))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	inner := storage.NewMemFS()
 	ffs := storage.NewSeededFaultFS(inner, cfg.Seed)
-	db, err := lsm.Open(scrubGeometry(ffs, cfg.Serial))
+	db, err := lsm.Open(scrubGeometry(ffs))
 	if err != nil {
 		return fail("initial open: %v", err)
 	}
@@ -253,7 +249,7 @@ func RunScrubCycle(cfg ScrubConfig) (ScrubCycleResult, error) {
 
 	// The quarantine is manifest state: reopen and re-audit — the same keys
 	// must fail, the same keys must serve.
-	db, err = lsm.Open(scrubGeometry(ffs, cfg.Serial))
+	db, err = lsm.Open(scrubGeometry(ffs))
 	if err != nil {
 		return fail("reopen after quarantine: %v", err)
 	}
@@ -295,7 +291,7 @@ func RunScrubCycle(cfg ScrubConfig) (ScrubCycleResult, error) {
 func runParanoidLeg(cfg ScrubConfig) (int64, error) {
 	inner := storage.NewMemFS()
 	ffs := storage.NewSeededFaultFS(inner, cfg.Seed+1)
-	opts := scrubGeometry(ffs, cfg.Serial)
+	opts := scrubGeometry(ffs)
 	opts.ScrubInterval = 0 // this leg is about install-time verification
 	opts.ParanoidChecks = true
 	db, err := lsm.Open(opts)

@@ -19,27 +19,10 @@ func scrubSeedBase(t *testing.T) int64 {
 	return 1
 }
 
-// scrubSerial selects the commit mode for cycle i: the CI commit-mode
-// matrix pins one via PCPLSM_SCRUB_COMMIT (grouped|serial), otherwise
-// cycles alternate.
-func scrubSerial(t *testing.T, i int) bool {
-	switch mode := os.Getenv("PCPLSM_SCRUB_COMMIT"); mode {
-	case "":
-		return i%2 == 1
-	case "grouped":
-		return false
-	case "serial":
-		return true
-	default:
-		t.Fatalf("bad PCPLSM_SCRUB_COMMIT %q: want grouped or serial", mode)
-		return false
-	}
-}
-
 // TestScrubCycles is the integrity acceptance gate: seeded at-rest bit-rot
-// cycles across both commit modes, each verifying that the background
-// scrubber detects the rot within one pass, quarantines only the damaged
-// table, the quarantine survives reopen, and ParanoidChecks rejects
+// cycles, each verifying that the background scrubber detects the rot
+// within one pass, quarantines only the damaged table, the quarantine
+// survives reopen, and ParanoidChecks rejects
 // silently garbled pipeline outputs before the manifest references them.
 // Cycles are sharded into parallel subtests so -race runs stay within test
 // timeouts.
@@ -60,7 +43,7 @@ func TestScrubCycles(t *testing.T) {
 			t.Parallel()
 			for i := 0; i < n; i++ {
 				seed := base + int64(lo+i)
-				res, err := RunScrubCycle(ScrubConfig{Seed: seed, Serial: scrubSerial(t, lo+i)})
+				res, err := RunScrubCycle(ScrubConfig{Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,7 +13,7 @@ import (
 // Concurrent writers enqueue their batches in a FIFO; the writer at the
 // front is the leader. The leader makes room (possibly stalling for
 // background work), merges the queue — itself first — up to
-// Options.WriteGroupMaxCount/MaxBytes into ONE WAL record, appends it (one
+// writeGroupMaxCount/MaxBytes into ONE WAL record, appends it (one
 // fsync for the whole group when SyncWAL is on), applies every entry to the
 // memtable, and only then allocates the group's sequence numbers and
 // publishes them as the visible-sequence watermark. Followers sleep the
@@ -52,6 +52,14 @@ import (
 // base+i to the i-th entry — the same sequences the writers were
 // acknowledged with individually.
 
+// A commit group merges at most writeGroupMaxCount writers and
+// writeGroupMaxBytes of summed batch payload, bounding both the merged WAL
+// record and the latency a large group adds to its first writer.
+const (
+	writeGroupMaxCount = 64
+	writeGroupMaxBytes = 1 << 20
+)
+
 // commitWriter is one queued Write call.
 type commitWriter struct {
 	batch *Batch
@@ -64,9 +72,6 @@ type commitWriter struct {
 func (db *DB) Write(b *Batch) error {
 	if b.Len() == 0 {
 		return nil
-	}
-	if db.opts.DisableGroupCommit {
-		return db.writeSerial(b)
 	}
 	w := &commitWriter{batch: b, ready: make(chan struct{}, 1)}
 	db.writeMu.Lock()
@@ -186,15 +191,13 @@ func (db *DB) commitAsLeader(leader *commitWriter) error {
 // buildGroup merges the queue prefix — leader first — up to the group caps.
 // A group always contains at least the leader.
 func (db *DB) buildGroup(leader *commitWriter) []*commitWriter {
-	maxCount := db.opts.WriteGroupMaxCount
-	maxBytes := db.opts.WriteGroupMaxBytes
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	group := make([]*commitWriter, 1, min(len(db.writers), maxCount))
+	group := make([]*commitWriter, 1, min(len(db.writers), writeGroupMaxCount))
 	group[0] = leader
 	bytes := leader.batch.size
 	for _, w := range db.writers[1:] {
-		if len(group) >= maxCount || bytes+w.batch.size > maxBytes {
+		if len(group) >= writeGroupMaxCount || bytes+w.batch.size > writeGroupMaxBytes {
 			break
 		}
 		group = append(group, w)
@@ -236,54 +239,4 @@ func (db *DB) finishGroup(group []*commitWriter, err error) {
 // otherwise-clean tail unrecoverable.
 func (db *DB) poisonCommits(err error) {
 	db.setBgErr(&backgroundError{cause: err})
-}
-
-// writeSerial is the DisableGroupCommit fallback: the original LevelDB-style
-// commit that holds db.mu across WAL append, optional fsync and memtable
-// insert. It produces bit-for-bit the same WAL as the pre-pipeline code;
-// only the error path differs (sequences are allocated after a successful
-// append, so a failed append leaves no gap).
-func (db *DB) writeSerial(b *Batch) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.makeRoomForWrite(); err != nil {
-		return err
-	}
-	base := db.seq + 1
-	db.commitBuf = b.encodeTo(db.commitBuf[:0], base)
-	if err := db.wal.Append(db.commitBuf); err != nil {
-		err = fmt.Errorf("lsm: appending to WAL: %w", err)
-		// Same poisoning rule as the group path.
-		db.setBgErrLocked(&backgroundError{cause: err})
-		return err
-	}
-	synced := false
-	if db.opts.SyncWAL {
-		if err := db.wal.Sync(); err != nil {
-			db.setBgErrLocked(&backgroundError{cause: err})
-			return err
-		}
-		synced = true
-	}
-	var puts, dels int64
-	ops := db.applyOps[:0]
-	for i, e := range b.entries {
-		ops = append(ops, memtable.Op{Seq: base + uint64(i), Kind: e.kind, Key: e.key, Val: e.val})
-		if e.kind == ikey.KindDelete {
-			dels++
-		} else {
-			puts++
-		}
-	}
-	db.applyOps = ops
-	shards, parallel := db.mem.Apply(ops)
-	db.seq = base + uint64(b.Len()) - 1
-	db.visibleSeq.Store(db.seq)
-	db.stats.addPutsDeletes(puts, dels)
-	db.stats.addCommit(1, synced)
-	db.stats.addApply(int64(shards), parallel)
-	return nil
 }

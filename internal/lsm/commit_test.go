@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"pcplsm/internal/ikey"
 	"pcplsm/internal/storage"
+	"pcplsm/internal/wal"
 )
 
 // walGateFS wraps an FS and intercepts writes to .log files: arm() blocks
@@ -202,143 +204,144 @@ func TestGroupAppendFailureFailsAllWriters(t *testing.T) {
 
 // TestWriteFailureNoSeqGap is the regression test for the sequence-gap bug:
 // the pre-pipeline Write advanced db.seq before wal.Append and left it
-// advanced on failure, so the WAL and the sequence counter disagreed. Both
-// commit modes must now allocate sequences only for durably appended
+// advanced on failure, so the WAL and the sequence counter disagreed. The
+// group commit path must allocate sequences only for durably appended
 // groups, keeping recovery gap-free.
 func TestWriteFailureNoSeqGap(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		name := "grouped"
-		if serial {
-			name = "serial"
-		}
-		t.Run(name, func(t *testing.T) {
-			fault := storage.NewFaultFS(storage.NewMemFS())
-			opts := gateOpts(fault)
-			opts.DisableGroupCommit = serial
-			db := mustOpen(t, opts)
-
-			if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
-				t.Fatal(err)
-			}
-			seqBefore := db.Seq()
-
-			fault.Arm(storage.FaultWrite, 1, true)
-			if err := db.Put([]byte("k2"), []byte("v2")); !errors.Is(err, storage.ErrInjected) {
-				t.Fatalf("write with failing WAL = %v, want injected fault", err)
-			}
-			if got := db.Seq(); got != seqBefore {
-				t.Fatalf("failed write advanced Seq: %d -> %d", seqBefore, got)
-			}
-			if err := db.Put([]byte("k3"), []byte("v3")); err == nil {
-				t.Fatal("write after WAL failure succeeded")
-			}
-			fault.Disarm(storage.FaultWrite)
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Recovery: k1 present, the failed writes absent, and the next
-			// allocation continues exactly where the WAL ends — no gap.
-			db = mustOpen(t, opts)
-			defer db.Close()
-			if v, err := db.Get([]byte("k1")); err != nil || string(v) != "v1" {
-				t.Fatalf("Get(k1) after reopen = %q, %v", v, err)
-			}
-			if _, err := db.Get([]byte("k2")); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("failed write resurrected: %v", err)
-			}
-			if got := db.Seq(); got != seqBefore {
-				t.Fatalf("recovered Seq = %d, want %d", got, seqBefore)
-			}
-			if err := db.Put([]byte("k4"), []byte("v4")); err != nil {
-				t.Fatal(err)
-			}
-			if got := db.Seq(); got != seqBefore+1 {
-				t.Fatalf("post-recovery Seq = %d, want contiguous %d", got, seqBefore+1)
-			}
-		})
-	}
-}
-
-// TestSerialFallbackWALBitForBit drives the same single-writer operation
-// sequence through the grouped and the serial commit paths and requires the
-// resulting WAL files to be byte-identical (the serial fallback IS the
-// pre-pipeline baseline, and single-writer groups must encode identically),
-// and both to recover to the same state.
-func TestSerialFallbackWALBitForBit(t *testing.T) {
-	type result struct {
-		wal  []byte
-		seq  uint64
-		dump map[string]string
-	}
-	run := func(serial bool) result {
-		t.Helper()
-		fs := storage.NewMemFS()
-		opts := gateOpts(fs)
-		opts.DisableGroupCommit = serial
+	t.Run("grouped", func(t *testing.T) {
+		fault := storage.NewFaultFS(storage.NewMemFS())
+		opts := gateOpts(fault)
 		db := mustOpen(t, opts)
-		rng := rand.New(rand.NewSource(99))
-		for i := 0; i < 300; i++ {
-			switch rng.Intn(4) {
-			case 0:
-				var b Batch
-				for j := 0; j < 1+rng.Intn(5); j++ {
-					b.Put([]byte(fmt.Sprintf("b%04d-%d", i, j)), []byte(fmt.Sprintf("bv%d", rng.Intn(1000))))
-				}
-				b.Delete([]byte(fmt.Sprintf("b%04d-0", i-1)))
-				if err := db.Write(&b); err != nil {
-					t.Fatal(err)
-				}
-			case 1:
-				if err := db.Delete([]byte(fmt.Sprintf("k%04d", rng.Intn(300)))); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				if err := db.Put([]byte(fmt.Sprintf("k%04d", rng.Intn(300))), []byte(fmt.Sprintf("v%d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
+
+		if err := db.Put([]byte("k1"), []byte("v1")); err != nil {
+			t.Fatal(err)
 		}
-		walName := walFileName(db.walNum)
-		seq := db.Seq()
+		seqBefore := db.Seq()
+
+		fault.Arm(storage.FaultWrite, 1, true)
+		if err := db.Put([]byte("k2"), []byte("v2")); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("write with failing WAL = %v, want injected fault", err)
+		}
+		if got := db.Seq(); got != seqBefore {
+			t.Fatalf("failed write advanced Seq: %d -> %d", seqBefore, got)
+		}
+		if err := db.Put([]byte("k3"), []byte("v3")); err == nil {
+			t.Fatal("write after WAL failure succeeded")
+		}
+		fault.Disarm(storage.FaultWrite)
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		data, err := storage.ReadAll(fs, walName)
-		if err != nil {
-			t.Fatal(err)
-		}
 
+		// Recovery: k1 present, the failed writes absent, and the next
+		// allocation continues exactly where the WAL ends — no gap.
 		db = mustOpen(t, opts)
 		defer db.Close()
-		if got := db.Seq(); got != seq {
-			t.Fatalf("recovered seq %d, want %d", got, seq)
+		if v, err := db.Get([]byte("k1")); err != nil || string(v) != "v1" {
+			t.Fatalf("Get(k1) after reopen = %q, %v", v, err)
 		}
-		dump := map[string]string{}
-		it, err := db.NewIterator()
-		if err != nil {
+		if _, err := db.Get([]byte("k2")); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("failed write resurrected: %v", err)
+		}
+		if got := db.Seq(); got != seqBefore {
+			t.Fatalf("recovered Seq = %d, want %d", got, seqBefore)
+		}
+		if err := db.Put([]byte("k4"), []byte("v4")); err != nil {
 			t.Fatal(err)
 		}
-		defer it.Close()
-		for ok := it.First(); ok; ok = it.Next() {
-			dump[string(it.Key())] = string(it.Value())
+		if got := db.Seq(); got != seqBefore+1 {
+			t.Fatalf("post-recovery Seq = %d, want contiguous %d", got, seqBefore+1)
 		}
-		return result{wal: data, seq: seq, dump: dump}
+	})
+}
+
+// TestSerialFallbackWALBitForBit drives a single-writer operation sequence
+// through the group commit path and requires its WAL to be byte-identical
+// to the serial LevelDB-baseline log: one record per batch, encoded by
+// Batch.encodeTo at the batch's base sequence and appended through
+// wal.Writer. The store must then recover to the written state.
+func TestSerialFallbackWALBitForBit(t *testing.T) {
+	fs := storage.NewMemFS()
+	opts := gateOpts(fs)
+	db := mustOpen(t, opts)
+
+	refFS := storage.NewMemFS()
+	refFile, err := refFS.Create("ref.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := wal.NewWriter(refFile)
+	model := map[string]string{}
+	var rec []byte
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 300; i++ {
+		var b Batch
+		switch rng.Intn(4) {
+		case 0:
+			for j := 0; j < 1+rng.Intn(5); j++ {
+				b.Put([]byte(fmt.Sprintf("b%04d-%d", i, j)), []byte(fmt.Sprintf("bv%d", rng.Intn(1000))))
+			}
+			b.Delete([]byte(fmt.Sprintf("b%04d-0", i-1)))
+		case 1:
+			b.Delete([]byte(fmt.Sprintf("k%04d", rng.Intn(300))))
+		default:
+			b.Put([]byte(fmt.Sprintf("k%04d", rng.Intn(300))), []byte(fmt.Sprintf("v%d", i)))
+		}
+		rec = b.encodeTo(rec[:0], db.Seq()+1)
+		if err := ref.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range b.entries {
+			if e.kind == ikey.KindDelete {
+				delete(model, string(e.key))
+			} else {
+				model[string(e.key)] = string(e.val)
+			}
+		}
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walName := walFileName(db.walNum)
+	seq := db.Seq()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := storage.ReadAll(fs, walName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := storage.ReadAll(refFS, "ref.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("WAL bytes differ: grouped %d bytes, per-batch records %d bytes", len(got), len(want))
 	}
 
-	grouped, serial := run(false), run(true)
-	if string(grouped.wal) != string(serial.wal) {
-		t.Errorf("WAL bytes differ: grouped %d bytes, serial %d bytes", len(grouped.wal), len(serial.wal))
+	db = mustOpen(t, opts)
+	defer db.Close()
+	if got := db.Seq(); got != seq {
+		t.Fatalf("recovered seq %d, want %d", got, seq)
 	}
-	if grouped.seq != serial.seq {
-		t.Errorf("sequence counters differ: grouped %d, serial %d", grouped.seq, serial.seq)
+	dump := map[string]string{}
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(grouped.dump) != len(serial.dump) {
-		t.Fatalf("recovered states differ: %d vs %d keys", len(grouped.dump), len(serial.dump))
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		dump[string(it.Key())] = string(it.Value())
 	}
-	for k, v := range grouped.dump {
-		if serial.dump[k] != v {
-			t.Fatalf("recovered value differs at %q: %q vs %q", k, v, serial.dump[k])
+	if len(dump) != len(model) {
+		t.Fatalf("recovered %d keys, wrote %d", len(dump), len(model))
+	}
+	for k, v := range model {
+		if dump[k] != v {
+			t.Fatalf("recovered value differs at %q: %q, want %q", k, dump[k], v)
 		}
 	}
 }

@@ -39,13 +39,13 @@ type DB struct {
 	fs     storage.FS
 	vs     *versionSet
 	bcache *cache.Cache
-	heat   *cache.Heat // nil when pre-warm is disabled or there is no cache
+	heat   *cache.Heat // nil when there is no block cache
 	cache  *tableCache
 	man    *manifest
 	stats  statsCollector
 
 	// governor is the engine-wide pipeline token-pool pair (see
-	// governor.go); nil when Options.PipelineComputeTokens < 0.
+	// governor.go).
 	governor *pipelineGovernor
 
 	// penv is the picker's stable view of the engine handed to every
@@ -69,10 +69,9 @@ type DB struct {
 	// leader holds it across WAL I/O and memtable inserts so neither
 	// happens under db.mu. Lock order: commitMu → mu. writeMu guards only
 	// the writer queue and is a leaf lock. commitBuf is the scratch buffer
-	// for encoded records, reused across commits (commitMu in grouped mode,
-	// mu in serial mode — never both in one DB). visibleSeq is the
-	// watermark reads clamp to: the last sequence whose group is fully in
-	// the memtable.
+	// for encoded records, reused across commits under commitMu.
+	// visibleSeq is the watermark reads clamp to: the last sequence whose
+	// group is fully in the memtable.
 	commitMu   sync.Mutex
 	writeMu    sync.Mutex
 	writers    []*commitWriter
@@ -127,12 +126,9 @@ type DB struct {
 	bgWg   sync.WaitGroup
 }
 
-// newMemtable builds an empty memtable from the DB's sharding/arena options.
+// newMemtable builds an empty memtable with the DB's shard count.
 func (db *DB) newMemtable() *memtable.Memtable {
-	return memtable.New(memtable.Config{
-		Shards:    db.opts.MemtableShards,
-		ChunkSize: db.opts.MemtableArenaChunk,
-	})
+	return memtable.New(memtable.Config{Shards: db.opts.MemtableShards})
 }
 
 // Open opens (creating or recovering) a DB on opts.FS.
@@ -145,9 +141,7 @@ func Open(opts Options) (*DB, error) {
 	var heat *cache.Heat
 	if opts.BlockCacheBytes > 0 {
 		blockCache = cache.New(opts.BlockCacheBytes)
-		if !opts.DisableCachePreWarm {
-			heat = cache.NewHeat()
-		}
+		heat = cache.NewHeat()
 	}
 	db := &DB{
 		opts:           opts,
@@ -179,12 +173,10 @@ func Open(opts Options) (*DB, error) {
 	db.penv = &policyEnv{opts: &db.opts, free: db.levelPairFree, cursor: &db.compactPtr,
 		heat: heat, quarantined: db.quarantinedLocked}
 	if tune {
-		db.tuner = newPolicyTuner(polName, opts.PolicyTunerWindow, heat != nil)
+		db.tuner = newPolicyTuner(polName, tunerWindow, heat != nil)
 	}
-	if opts.PipelineComputeTokens > 0 {
-		db.governor = newPipelineGovernor(opts.PipelineComputeTokens,
-			max(1, opts.PipelineIOTokens))
-	}
+	db.governor = newPipelineGovernor(opts.PipelineComputeTokens,
+		max(1, opts.PipelineIOTokens))
 
 	if err := db.recover(); err != nil {
 		return nil, err
@@ -573,8 +565,8 @@ func (db *DB) Delete(key []byte) error {
 
 // makeRoomForWrite rotates the memtable and stalls writers, mirroring
 // LevelDB: the "write pauses" the paper attributes to slow compaction
-// happen here. Called with db.mu held — by a serial writer, or by a group
-// leader that also holds commitMu (WAL rotation requires both).
+// happen here. Called with db.mu held by a group leader that also holds
+// commitMu (WAL rotation requires both).
 func (db *DB) makeRoomForWrite() error {
 	for {
 		switch {
@@ -795,13 +787,11 @@ func (db *DB) Stats() Stats {
 		s.BlockCacheBytes = db.bcache.Size()
 		s.BlockCacheCapacity = db.bcache.Capacity()
 	}
-	if db.governor != nil {
-		ct, it2, cl, il := db.governor.snapshot()
-		s.PipelineComputeTokens = int64(ct)
-		s.PipelineIOTokens = int64(it2)
-		s.PipelineComputeLeased = int64(cl)
-		s.PipelineIOLeased = int64(il)
-	}
+	ct, it2, cl, il := db.governor.snapshot()
+	s.PipelineComputeTokens = int64(ct)
+	s.PipelineIOTokens = int64(it2)
+	s.PipelineComputeLeased = int64(cl)
+	s.PipelineIOLeased = int64(il)
 	return s
 }
 
@@ -910,8 +900,7 @@ func (db *DB) WaitIdle() error {
 
 // writeLevel0Table dumps a memtable into a new table file and returns its
 // metadata. (Unlike compaction outputs, a flush is always a single table,
-// like LevelDB.) With Options.PipelinedFlush it overlaps block building
-// with the writes. With Options.ParanoidChecks the finished table is
+// like LevelDB.) With Options.ParanoidChecks the finished table is
 // re-read and verified against its metadata before the caller may
 // reference it; a rejected output is deleted and the flush fails with a
 // retryable outputVerifyError.
@@ -929,9 +918,6 @@ func (db *DB) writeLevel0Table(mem *memtable.Memtable) (*TableMeta, error) {
 
 // buildLevel0Table is writeLevel0Table without the paranoid re-read.
 func (db *DB) buildLevel0Table(mem *memtable.Memtable) (*TableMeta, error) {
-	if db.opts.PipelinedFlush {
-		return db.writeLevel0TablePipelined(mem)
-	}
 	num := db.vs.NewFileNum()
 	name := TableFileName(num)
 	raw, err := db.fs.Create(name)

@@ -438,88 +438,81 @@ func TestManifestRenameCrashWindow(t *testing.T) {
 }
 
 // TestWALTornTailRecovery: recovery truncates at the first damaged WAL
-// record — a torn tail loses at most the final unsynced batch, atomically,
-// in both commit modes.
+// record — a torn tail loses at most the final unsynced batch, atomically.
 func TestWALTornTailRecovery(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{{"grouped", false}, {"serial", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			for _, variant := range []string{"truncate", "garbage"} {
-				t.Run(variant, func(t *testing.T) {
-					fs := storage.NewMemFS()
-					opts := smallOpts(fs)
-					opts.MemtableSize = 1 << 20 // keep everything in the WAL
-					opts.DisableGroupCommit = mode.serial
-					db := mustOpen(t, opts)
-					const batches = 50
-					for i := 0; i < batches; i++ {
-						var b Batch
-						b.Put([]byte(fmt.Sprintf("a%02d", i)), []byte(fmt.Sprintf("va%02d", i)))
-						b.Put([]byte(fmt.Sprintf("b%02d", i)), []byte(fmt.Sprintf("vb%02d", i)))
-						if err := db.Write(&b); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := db.Close(); err != nil {
+	t.Run("grouped", func(t *testing.T) {
+		for _, variant := range []string{"truncate", "garbage"} {
+			t.Run(variant, func(t *testing.T) {
+				fs := storage.NewMemFS()
+				opts := smallOpts(fs)
+				opts.MemtableSize = 1 << 20 // keep everything in the WAL
+				db := mustOpen(t, opts)
+				const batches = 50
+				for i := 0; i < batches; i++ {
+					var b Batch
+					b.Put([]byte(fmt.Sprintf("a%02d", i)), []byte(fmt.Sprintf("va%02d", i)))
+					b.Put([]byte(fmt.Sprintf("b%02d", i)), []byte(fmt.Sprintf("vb%02d", i)))
+					if err := db.Write(&b); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
 
-					names, err := fs.List()
-					if err != nil {
-						t.Fatal(err)
+				names, err := fs.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var walName string
+				for _, nm := range names {
+					if strings.HasSuffix(nm, ".log") {
+						walName = nm
 					}
-					var walName string
-					for _, nm := range names {
-						if strings.HasSuffix(nm, ".log") {
-							walName = nm
-						}
-					}
-					if walName == "" {
-						t.Fatal("no WAL on disk")
-					}
-					data, err := storage.ReadAll(fs, walName)
-					if err != nil {
-						t.Fatal(err)
-					}
-					switch variant {
-					case "truncate":
-						data = data[:len(data)-5]
-					case "garbage":
-						data = append(data, 0xde, 0xad, 0xbe, 0xef, 0x51, 0x52, 0x53, 0x54, 0x55)
-					}
-					if err := storage.WriteFile(fs, walName, data); err != nil {
-						t.Fatal(err)
-					}
+				}
+				if walName == "" {
+					t.Fatal("no WAL on disk")
+				}
+				data, err := storage.ReadAll(fs, walName)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch variant {
+				case "truncate":
+					data = data[:len(data)-5]
+				case "garbage":
+					data = append(data, 0xde, 0xad, 0xbe, 0xef, 0x51, 0x52, 0x53, 0x54, 0x55)
+				}
+				if err := storage.WriteFile(fs, walName, data); err != nil {
+					t.Fatal(err)
+				}
 
-					db = mustOpen(t, opts)
-					defer db.Close()
-					full := batches
-					if variant == "truncate" {
-						full = batches - 1
-					}
-					for i := 0; i < full; i++ {
-						for _, pfx := range []string{"a", "b"} {
-							k := fmt.Sprintf("%s%02d", pfx, i)
-							got, err := db.Get([]byte(k))
-							if err != nil || string(got) != "v"+k {
-								t.Fatalf("batch %d key %s = %q, %v", i, k, got, err)
-							}
+				db = mustOpen(t, opts)
+				defer db.Close()
+				full := batches
+				if variant == "truncate" {
+					full = batches - 1
+				}
+				for i := 0; i < full; i++ {
+					for _, pfx := range []string{"a", "b"} {
+						k := fmt.Sprintf("%s%02d", pfx, i)
+						got, err := db.Get([]byte(k))
+						if err != nil || string(got) != "v"+k {
+							t.Fatalf("batch %d key %s = %q, %v", i, k, got, err)
 						}
 					}
-					if variant == "truncate" {
-						// The damaged final batch must vanish atomically.
-						_, errA := db.Get([]byte(fmt.Sprintf("a%02d", batches-1)))
-						_, errB := db.Get([]byte(fmt.Sprintf("b%02d", batches-1)))
-						if !errors.Is(errA, ErrNotFound) || !errors.Is(errB, ErrNotFound) {
-							t.Fatalf("torn final batch partially visible: a=%v b=%v", errA, errB)
-						}
+				}
+				if variant == "truncate" {
+					// The damaged final batch must vanish atomically.
+					_, errA := db.Get([]byte(fmt.Sprintf("a%02d", batches-1)))
+					_, errB := db.Get([]byte(fmt.Sprintf("b%02d", batches-1)))
+					if !errors.Is(errA, ErrNotFound) || !errors.Is(errB, ErrNotFound) {
+						t.Fatalf("torn final batch partially visible: a=%v b=%v", errA, errB)
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestFailedManifestAppendChangesNothing: when the manifest append of a

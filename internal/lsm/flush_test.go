@@ -1,100 +1,15 @@
 package lsm
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"pcplsm/internal/storage"
 )
 
-// TestPipelinedFlushEquivalence: the pipelined flush must produce a table
-// with identical contents to the sequential flush.
-func TestPipelinedFlushEquivalence(t *testing.T) {
-	load := func(pipelined bool) (*DB, map[string]string) {
-		opts := smallOpts(storage.NewMemFS())
-		opts.PipelinedFlush = pipelined
-		opts.DisableAutoCompaction = true
-		opts.MemtableSize = 1 << 20 // hold the whole load: exactly one flush
-		db := mustOpen(t, opts)
-		ref := map[string]string{}
-		for i := 0; i < 2000; i++ {
-			k := fmt.Sprintf("pf%06d", i)
-			v := fmt.Sprintf("value-%d", i*7)
-			db.Put([]byte(k), []byte(v))
-			ref[k] = v
-		}
-		// A few deletes so tombstones flow through the flush too.
-		for i := 0; i < 2000; i += 17 {
-			k := fmt.Sprintf("pf%06d", i)
-			db.Delete([]byte(k))
-			delete(ref, k)
-		}
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return db, ref
-	}
-
-	seqDB, seqRef := load(false)
-	defer seqDB.Close()
-	pipDB, pipRef := load(true)
-	defer pipDB.Close()
-
-	// Same logical contents.
-	for k, v := range seqRef {
-		got, err := pipDB.Get([]byte(k))
-		if err != nil || string(got) != v {
-			t.Fatalf("pipelined flush lost %s: %q, %v", k, got, err)
-		}
-	}
-	for k := range pipRef {
-		if _, ok := seqRef[k]; !ok {
-			t.Fatalf("reference divergence at %s", k)
-		}
-	}
-
-	// Same physical table bytes (both paths are deterministic).
-	dump := func(db *DB) []byte {
-		v := db.Version()
-		if len(v.Levels[0]) != 1 {
-			t.Fatalf("expected one L0 table, got %d", len(v.Levels[0]))
-		}
-		data, err := storage.ReadAll(db.fs, v.Levels[0][0].FileName())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	if !bytes.Equal(dump(seqDB), dump(pipDB)) {
-		t.Fatal("pipelined and sequential flush produced different table bytes")
-	}
-}
-
-// TestPipelinedFlushFullWorkload: a complete load → compact → verify cycle
-// with pipelined flushes enabled.
-func TestPipelinedFlushFullWorkload(t *testing.T) {
+// TestFlushEmptyAndSingle covers degenerate flushes: an empty memtable
+// writes no table, and a one-entry memtable flushes to a readable table.
+func TestFlushEmptyAndSingle(t *testing.T) {
 	opts := smallOpts(storage.NewMemFS())
-	opts.PipelinedFlush = true
-	db := mustOpen(t, opts)
-	defer db.Close()
-	ref := loadKeys(t, db, 3000, 99, 100)
-	if err := db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	verifyAll(t, db, ref)
-	if db.Stats().Flushes == 0 {
-		t.Fatal("no flushes ran")
-	}
-	if err := db.Version().checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelinedFlushEmptyAndSingle covers degenerate flushes.
-func TestPipelinedFlushEmptyAndSingle(t *testing.T) {
-	opts := smallOpts(storage.NewMemFS())
-	opts.PipelinedFlush = true
 	opts.DisableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()
@@ -109,6 +24,9 @@ func TestPipelinedFlushEmptyAndSingle(t *testing.T) {
 	db.Put([]byte("only"), []byte("one"))
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if got := len(db.Version().Levels[0]); got != 1 {
+		t.Fatalf("single-entry flush made %d L0 tables, want 1", got)
 	}
 	v, err := db.Get([]byte("only"))
 	if err != nil || string(v) != "one" {

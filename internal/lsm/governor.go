@@ -7,10 +7,10 @@ import (
 )
 
 // Pipeline governor: engine-wide budgets for the stage workers of pipelined
-// background work. Every PCP compaction and every pipelined flush runs extra
-// goroutines beyond its scheduler slot — without a shared budget,
-// BackgroundWorkers × ComputeParallel compute workers could oversubscribe
-// the host and steal CPU from foreground reads and commits.
+// background work. Every PCP compaction runs extra goroutines beyond its
+// scheduler slot — without a shared budget, BackgroundWorkers ×
+// ComputeParallel compute workers could oversubscribe the host and steal
+// CPU from foreground reads and commits.
 //
 // The governor keeps two token pools:
 //
@@ -150,7 +150,7 @@ func (l *pipelineLease) widths() (compute, io int) {
 
 // tryLeaseIO leases a single I/O token with no baseline overcommit. Unlike
 // acquire, a denial is possible: the background scrubber uses this so its
-// verification reads always yield to compaction and flush I/O — a scrub
+// verification reads always yield to compaction I/O — a scrub
 // pass is never urgent enough to oversubscribe the device.
 func (g *pipelineGovernor) tryLeaseIO() bool {
 	g.mu.Lock()

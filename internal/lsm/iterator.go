@@ -7,6 +7,12 @@ import (
 	"pcplsm/internal/sstable"
 )
 
+// scanReadahead is the number of data blocks each table iterator in a scan
+// prefetches (fetch + verify + decompress, pipelined) ahead of the current
+// position, overlapping scan I/O with iteration. Point reads never read
+// ahead.
+const scanReadahead = 2
+
 // internalIterator is the movement contract shared by memtable and table
 // iterators over internal keys.
 type internalIterator interface {
@@ -148,7 +154,7 @@ func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
 			}
 			it.readers = append(it.readers, r)
 			ti := r.NewIter()
-			ti.SetReadahead(db.opts.ScanReadahead)
+			ti.SetReadahead(scanReadahead)
 			it.titers = append(it.titers, ti)
 			it.sources = append(it.sources, ti)
 			it.srcNum = append(it.srcNum, t.Num)

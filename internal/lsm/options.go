@@ -41,11 +41,6 @@ type Options struct {
 	// identical at any setting). Values are clamped to [1, 64] and rounded
 	// up to a power of two.
 	MemtableShards int
-	// MemtableArenaChunk is the chunk size in bytes of each shard's arena
-	// (the append-only buffers that hold node, key and value bytes, freed
-	// wholesale when the memtable retires). 0 selects the default of 64 KiB;
-	// other values are clamped to [4 KiB, 8 MiB].
-	MemtableArenaChunk int
 	// TableSize caps SSTable file size (default 2 MiB).
 	TableSize int64
 	// BlockSize is the data block size (default 4 KiB).
@@ -68,12 +63,6 @@ type Options struct {
 	// the tuner — the escape hatch to pin behaviour.
 	CompactionPolicy string
 
-	// PolicyTunerWindow is the self-tuner's sliding-window length in
-	// samples (one sample per completed flush or compaction). 0 selects
-	// the default of 8; values are clamped to [2, 64]. Ignored when
-	// CompactionPolicy pins a policy.
-	PolicyTunerWindow int
-
 	// DisableTrivialMove forces every picked compaction through the full
 	// read-merge-write pipeline even when its input has no next-level
 	// overlap. By default such a table is moved down by a metadata-only
@@ -95,12 +84,11 @@ type Options struct {
 	Compaction core.Config
 
 	// PipelineComputeTokens sizes the engine-wide compute-token pool shared
-	// by every pipelined compaction and flush: at most this many
-	// compute-stage workers run beyond the per-unit baseline of one, so
+	// by every pipelined compaction: at most this many compute-stage
+	// workers run beyond the per-unit baseline of one, so
 	// BackgroundWorkers × ComputeParallel cannot oversubscribe the host.
-	// 0 selects max(1, GOMAXPROCS−1) — one CPU of foreground headroom. A
-	// negative value disables the governor entirely: compaction configs pass
-	// through fixed, with no leasing and no adaptive resizing.
+	// 0 or a negative value selects max(1, GOMAXPROCS−1) — one CPU of
+	// foreground headroom.
 	PipelineComputeTokens int
 	// PipelineIOTokens sizes the matching I/O-token pool (one token per
 	// unit of IOParallel — a read+write worker pair). 0 selects 4.
@@ -128,56 +116,21 @@ type Options struct {
 	// per shard (1 MiB total for the 16-shard cache) — smaller settings
 	// used to round to a per-shard capacity of a few bytes and silently
 	// cache nothing. Compaction I/O always bypasses the cache on the read
-	// side; on the write side, hot output blocks are pre-warmed into it
-	// (see DisableCachePreWarm).
+	// side. On the write side the cache survives compactions: the DB tracks
+	// per-key-range read heat and, when a compaction output block covers a
+	// hot range, inserts the block (already in memory inside the compaction
+	// pipeline) under the new table's identity before the version edit
+	// installs. Cold output is never admitted, and at most half the cache's
+	// capacity is pre-warmed per compaction, so compaction output cannot
+	// flush the read working set.
 	BlockCacheBytes int64
 
-	// DisableCachePreWarm turns off the compaction-surviving cache: by
-	// default the DB tracks per-key-range read heat and, when a compaction
-	// output block covers a hot range, inserts the block (already in memory
-	// inside the compaction pipeline) into the block cache under the new
-	// table's identity before the version edit installs — so hot data never
-	// goes cold across a compaction. Cold output is never admitted, and at
-	// most half the cache's capacity is pre-warmed per compaction, so
-	// compaction output cannot flush the read working set.
-	DisableCachePreWarm bool
-
-	// ScanReadahead is the number of data blocks each table iterator in a
-	// scan prefetches (fetch + verify + decompress, pipelined) ahead of the
-	// current position, overlapping scan I/O with iteration. 0 selects the
-	// default of 2; a negative value disables readahead. Point reads never
-	// read ahead.
-	ScanReadahead int
-
-	// PipelinedFlush overlaps memtable-dump block building (CPU) with
-	// table writes (I/O), extending the paper's pipelining idea to the
-	// flush path (§IV-C lists flushes among the operations "not pipelined
-	// by now"). Off by default to keep the faithful LevelDB-style baseline.
-	PipelinedFlush bool
-
-	// SyncWAL forces an fsync per commit group. Off by default (matching
-	// the paper's insert benchmarks, which are bounded by compaction, not
-	// commit latency).
+	// SyncWAL forces an fsync per commit group. Concurrent writers are
+	// merged by a leader into one WAL record (one fsync), and WAL I/O
+	// happens outside the DB mutex so reads never queue behind commit I/O.
+	// Off by default (matching the paper's insert benchmarks, which are
+	// bounded by compaction, not commit latency).
 	SyncWAL bool
-
-	// DisableGroupCommit restores the strictly serial commit path: every
-	// Write holds the DB mutex across WAL append, optional fsync and
-	// memtable insert, exactly like the pre-pipeline (LevelDB-baseline)
-	// behaviour. Group commit is on by default: concurrent writers are
-	// merged by a leader into one WAL record (one fsync when SyncWAL is
-	// set), and WAL I/O happens outside the DB mutex so reads never queue
-	// behind commit I/O.
-	DisableGroupCommit bool
-
-	// WriteGroupMaxCount caps how many queued writers one commit group may
-	// merge (default 64). 1 makes every group a single writer (grouping
-	// off, but the pipelined locking still applies).
-	WriteGroupMaxCount int
-
-	// WriteGroupMaxBytes caps the summed batch payload of one commit group
-	// (default 1 MiB), bounding both the merged WAL record and the latency
-	// a large group adds to its first writer.
-	WriteGroupMaxBytes int64
 
 	// BackgroundWorkers sizes the background scheduler's worker pool
 	// (default 2). With two or more workers a memtable flush can overlap
@@ -234,14 +187,6 @@ func (o Options) withDefaults() Options {
 		o.MemtableShards = 4
 	}
 	o.MemtableShards = memtable.NormalShards(o.MemtableShards)
-	switch {
-	case o.MemtableArenaChunk == 0:
-		o.MemtableArenaChunk = memtable.DefaultArenaChunk
-	case o.MemtableArenaChunk < 4<<10:
-		o.MemtableArenaChunk = 4 << 10
-	case o.MemtableArenaChunk > 8<<20:
-		o.MemtableArenaChunk = 8 << 20
-	}
 	if o.TableSize <= 0 {
 		o.TableSize = 2 << 20
 	}
@@ -270,22 +215,8 @@ func (o Options) withDefaults() Options {
 	if o.LevelMultiplier <= 0 {
 		o.LevelMultiplier = 10
 	}
-	switch {
-	case o.PolicyTunerWindow == 0:
-		o.PolicyTunerWindow = defaultTunerWindow
-	case o.PolicyTunerWindow < minTunerSamples:
-		o.PolicyTunerWindow = minTunerSamples
-	case o.PolicyTunerWindow > 64:
-		o.PolicyTunerWindow = 64
-	}
 	if o.BackgroundWorkers <= 0 {
 		o.BackgroundWorkers = 2
-	}
-	if o.WriteGroupMaxCount <= 0 {
-		o.WriteGroupMaxCount = 64
-	}
-	if o.WriteGroupMaxBytes <= 0 {
-		o.WriteGroupMaxBytes = 1 << 20
 	}
 	switch {
 	case o.BackgroundRetry.Max == 0:
@@ -317,12 +248,6 @@ func (o Options) withDefaults() Options {
 	case o.BlockCacheBytes < 0:
 		o.BlockCacheBytes = 0
 	}
-	switch {
-	case o.ScanReadahead == 0:
-		o.ScanReadahead = 2
-	case o.ScanReadahead < 0:
-		o.ScanReadahead = 0
-	}
 	// Push DB-level format settings into the compaction config.
 	o.Compaction.BlockSize = o.BlockSize
 	o.Compaction.RestartInterval = o.RestartInterval
@@ -338,7 +263,7 @@ func (o Options) withDefaults() Options {
 	o.Compaction.QueueDepth = clampInt(o.Compaction.QueueDepth, 0, 32)
 	o.Compaction.ComputeParallel = clampInt(o.Compaction.ComputeParallel, 0, 16)
 	o.Compaction.IOParallel = clampInt(o.Compaction.IOParallel, 0, 16)
-	if o.PipelineComputeTokens == 0 {
+	if o.PipelineComputeTokens <= 0 {
 		o.PipelineComputeTokens = max(1, runtime.GOMAXPROCS(0)-1)
 	}
 	if o.PipelineIOTokens == 0 {

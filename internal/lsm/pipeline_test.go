@@ -202,38 +202,6 @@ func TestGovernorGaugesAndStats(t *testing.T) {
 	}
 }
 
-// TestGovernorDisabled: PipelineComputeTokens < 0 turns the governor off —
-// no leases, zero pool stats, compactions still run pipelined at their
-// configured fixed widths.
-func TestGovernorDisabled(t *testing.T) {
-	opts := smallOpts(storage.NewMemFS())
-	opts.MemtableSize = 8 << 10
-	opts.PipelineComputeTokens = -1
-	db := mustOpen(t, opts)
-	defer db.Close()
-	if db.governor != nil {
-		t.Fatal("governor constructed despite PipelineComputeTokens < 0")
-	}
-
-	for i := 0; i < 3000; i++ {
-		k := fmt.Sprintf("key%06d", (i*31)%1500)
-		if err := db.Put([]byte(k), []byte(fmt.Sprintf("v%06d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	s := db.Stats()
-	if s.Compactions == 0 || s.PipelinedCompactions != s.Compactions {
-		t.Fatalf("compactions=%d pipelined=%d", s.Compactions, s.PipelinedCompactions)
-	}
-	if s.PipelineComputeTokens != 0 || s.PipelineComputeLeased != 0 {
-		t.Fatalf("pool stats nonzero with governor disabled: %d/%d",
-			s.PipelineComputeTokens, s.PipelineComputeLeased)
-	}
-}
-
 // TestCompactionOptionsClamped covers the Options validation satellite:
 // absurd pipeline knobs are clamped, ModeAuto resolves to PCP, and the
 // SubtaskSize<0 escape hatch survives withDefaults untouched.
@@ -271,10 +239,10 @@ func TestCompactionOptionsClamped(t *testing.T) {
 	if d.PipelineIOTokens != 4 {
 		t.Fatalf("PipelineIOTokens default = %d, want 4", d.PipelineIOTokens)
 	}
-	// Negative compute tokens (governor off) must survive withDefaults.
+	// Negative compute tokens select the default pool like 0 does.
 	o.PipelineComputeTokens = -1
-	if d2 := o.withDefaults(); d2.PipelineComputeTokens != -1 {
-		t.Fatalf("PipelineComputeTokens = %d, want -1 preserved", d2.PipelineComputeTokens)
+	if d2 := o.withDefaults(); d2.PipelineComputeTokens != d.PipelineComputeTokens {
+		t.Fatalf("PipelineComputeTokens = %d, want default %d", d2.PipelineComputeTokens, d.PipelineComputeTokens)
 	}
 }
 

@@ -67,7 +67,7 @@ type policyEnv struct {
 	opts   *Options
 	free   func(level int) bool // levelPairFree: is the {L, L+1} pair unclaimed
 	cursor *[NumLevels][]byte   // per-level round-robin compaction cursors
-	heat   *cache.Heat          // nil without a block cache or with pre-warm disabled
+	heat   *cache.Heat          // nil without a block cache
 	// quarantined reports whether a table failed integrity verification and
 	// was isolated; the pickers skip such tables and refuse any pick whose
 	// overlap would merge through one. Nil means "nothing quarantined".

@@ -534,8 +534,6 @@ func TestPolicyEquivalenceRandomOps(t *testing.T) {
 			opts.BlockCacheBytes = 128 << 10 // enable the heat map for coldest-range
 			if polName != "auto" {
 				opts.CompactionPolicy = polName
-			} else {
-				opts.PolicyTunerWindow = 4
 			}
 
 			db := mustOpen(t, opts)
@@ -601,7 +599,6 @@ func TestPolicyEquivalenceRandomOps(t *testing.T) {
 func TestTunerSwitchesPolicyOnWorkloadShift(t *testing.T) {
 	opts := smallOpts(storage.NewMemFS())
 	opts.BlockCacheBytes = 128 << 10 // heat map on → coldest-range reachable
-	opts.PolicyTunerWindow = 2       // smallest window: reacts fastest
 	opts.DisableAutoCompaction = true
 	db := mustOpen(t, opts)
 	defer db.Close()

@@ -94,34 +94,6 @@ func TestPreWarmKeepsHotSetAcrossCompaction(t *testing.T) {
 	t.Logf("post-compaction hot reads: %d hits, %d misses", hits, misses)
 }
 
-// TestPreWarmDisabled: DisableCachePreWarm turns the path off completely.
-func TestPreWarmDisabled(t *testing.T) {
-	opts := prewarmOpts(storage.NewMemFS())
-	opts.DisableCachePreWarm = true
-	db := mustOpen(t, opts)
-	defer db.Close()
-
-	for i := 0; i < 1200; i++ {
-		db.Put(hotKey(i), []byte("v1"))
-	}
-	db.Flush()
-	for pass := 0; pass < 3; pass++ {
-		for i := 0; i < 1200; i++ {
-			db.Get(hotKey(i))
-		}
-	}
-	for i := 0; i < 1200; i++ {
-		db.Put(hotKey(i), []byte("v2"))
-	}
-	db.Flush()
-	if err := db.CompactLevel(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().BlockCachePrewarmed; got != 0 {
-		t.Fatalf("%d blocks pre-warmed with pre-warm disabled", got)
-	}
-}
-
 // buildCacheTestTable writes one table named for table number num holding
 // count keys "tc<num>-%04d".
 func buildCacheTestTable(t *testing.T, fs storage.FS, num uint64, count int) {

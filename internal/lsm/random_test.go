@@ -30,7 +30,6 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			fs := storage.NewMemFS()
 			opts := smallOpts(fs)
 			opts.Compaction = cc
-			opts.PipelinedFlush = name == "pcp" // exercise both flush paths
 
 			db := mustOpen(t, opts)
 			defer func() { db.Close() }()

@@ -44,8 +44,8 @@ type compactionClaim struct {
 	bytes int64    // total size of the claimed tables
 	// lease is the compaction's slice of the pipeline governor's token
 	// pools, granted with the claim and released with it. Nil when the
-	// governor is disabled or the procedure is not ModePCP: the compaction
-	// then runs with its fixed configured widths.
+	// procedure is not ModePCP: the compaction then runs with its fixed
+	// configured widths.
 	lease *pipelineLease
 }
 
@@ -97,7 +97,7 @@ func (db *DB) tryClaimCompaction(pc *pickedCompaction) *compactionClaim {
 	}
 	db.claims = append(db.claims, c)
 	db.noteConcurrency()
-	if db.governor != nil && db.opts.Compaction.Mode == core.ModePCP {
+	if db.opts.Compaction.Mode == core.ModePCP {
 		// Hand the claim a stage-worker budget: the baseline 1+1 is always
 		// granted (the governor's leaf mutex is safe under db.mu), extras
 		// only while the shared pools have headroom.

@@ -202,15 +202,13 @@ func nextScrubTarget(v *Version, cursor uint64, quar map[uint64]struct{}) (t *Ta
 
 // scrubStep verifies the next table in cursor order, returning how many
 // bytes it read (0 when there was nothing to do or the governor had no
-// I/O headroom — scrubbing always yields to compaction and flush I/O).
+// I/O headroom — scrubbing always yields to compaction I/O).
 func (db *DB) scrubStep() int64 {
-	if db.governor != nil {
-		if !db.governor.tryLeaseIO() {
-			db.stats.update(func(s *Stats) { s.GovernorDenials++ })
-			return 0
-		}
-		defer db.governor.returnIO()
+	if !db.governor.tryLeaseIO() {
+		db.stats.update(func(s *Stats) { s.GovernorDenials++ })
+		return 0
 	}
+	defer db.governor.returnIO()
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()

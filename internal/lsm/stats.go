@@ -77,8 +77,8 @@ type Stats struct {
 	// the commit path (one per group); GroupedWrites counts the Write calls
 	// those groups carried, so GroupedWrites/WriteGroups is the mean group
 	// size. WALSyncs counts commit-path fsyncs: with SyncWAL on,
-	// WALSyncs/GroupedWrites is the sync amortization (1.0 serial, → 1/N as
-	// grouping kicks in). MaxWriteGroup is the largest group committed.
+	// WALSyncs/GroupedWrites is the sync amortization (1.0 with one writer
+	// per group, → 1/N as grouping kicks in). MaxWriteGroup is the largest group committed.
 	WriteGroups   int64 `metric:"lsm_write_groups"`
 	GroupedWrites int64 `metric:"lsm_grouped_writes"`
 	WALSyncs      int64 `metric:"lsm_wal_syncs"`
@@ -139,11 +139,11 @@ type Stats struct {
 	// high-water marks).
 	LastCompaction core.Stats
 
-	// Pipeline-governor counters and pool gauges. The token totals/leases
-	// are zero when the governor is disabled (PipelineComputeTokens < 0).
-	// GovernorGrows/Shrinks count adaptive-pilot resizes applied across all
-	// compactions; GovernorDenials counts grow attempts the shared pools
-	// rejected — sustained denials mean concurrent background work is
+	// Pipeline-governor counters and pool gauges. GovernorGrows/Shrinks
+	// count adaptive-pilot resizes applied across all compactions.
+	// GovernorDenials counts grow attempts the shared pools rejected plus
+	// background scrub steps refused an I/O lease (scrubbing yields to
+	// compaction I/O) — sustained denials mean background work is
 	// contending for the same tokens.
 	PipelineComputeTokens int64 `metric:"lsm_pipeline_compute_tokens"`
 	PipelineIOTokens      int64 `metric:"lsm_pipeline_io_tokens"`

@@ -52,9 +52,9 @@ func deltaSample(prev, cur Stats) tunerSample {
 }
 
 const (
-	// defaultTunerWindow is the sliding-window length in samples (one
-	// sample per completed background unit).
-	defaultTunerWindow = 8
+	// tunerWindow is the sliding-window length in samples (one sample per
+	// completed background unit).
+	tunerWindow = 8
 	// minTunerSamples gates the first evaluation: a single sample is too
 	// little signal to leave the starting policy.
 	minTunerSamples = 2
@@ -83,10 +83,9 @@ type policyTuner struct {
 	pendingN int
 }
 
+// newPolicyTuner starts a tuner at policy start with a window of window
+// samples (tunerWindow in the DB; at least minTunerSamples).
 func newPolicyTuner(start string, window int, hasHeat bool) *policyTuner {
-	if window < minTunerSamples {
-		window = minTunerSamples
-	}
 	return &policyTuner{window: make([]tunerSample, window), hasHeat: hasHeat, current: start}
 }
 
@@ -137,7 +136,7 @@ func (t *policyTuner) evaluate() string {
 	}
 	readHeavy := agg.Gets >= readHeavyFactor*writes
 	writePressure := agg.StallCount > 0 || agg.GovernorDenials > 0 || agg.BackgroundRetries > 0
-	writeAmp := float64(agg.FlushBytes+agg.CompactionOutput) / float64(max64(1, agg.FlushBytes))
+	writeAmp := float64(agg.FlushBytes+agg.CompactionOutput) / float64(max(1, agg.FlushBytes))
 	switch {
 	case readHeavy && t.hasHeat:
 		return PolicyColdestRange
@@ -146,11 +145,4 @@ func (t *policyTuner) evaluate() string {
 	default:
 		return PolicyLeveling
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

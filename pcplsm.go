@@ -129,26 +129,16 @@ type Options struct {
 	// setting. Values are clamped to [1, 64] and rounded up to a power of
 	// two.
 	MemtableShards int
-	// MemtableArenaBytes is the chunk size of each memtable shard's arena
-	// allocator (default 64 KiB, clamped to [4 KiB, 8 MiB]).
-	MemtableArenaBytes int
 	// Compression is "snappy" (default), "flate" or "none".
 	Compression string
 	// BloomBitsPerKey sizes per-table Bloom filters (0 = default 10 bits
 	// per key, negative disables).
 	BloomBitsPerKey int
 	// BlockCacheBytes caps the decompressed-block read cache (0 = default
-	// 8 MiB, negative disables).
+	// 8 MiB, negative disables). Compactions re-insert output blocks whose
+	// key ranges were hot in the inputs, so the working set stays cached
+	// across file renumbering.
 	BlockCacheBytes int
-	// DisableCachePreWarm turns off the compaction-surviving cache: by
-	// default compactions re-insert output blocks whose key ranges were
-	// hot in the inputs, so the working set stays cached across file
-	// renumbering.
-	DisableCachePreWarm bool
-	// ScanReadahead is how many blocks ahead an iterator prefetches and
-	// decodes while a scan consumes the current one (0 = default 2,
-	// negative disables).
-	ScanReadahead int
 
 	// BackgroundWorkers sizes the background scheduler's worker pool
 	// (default 2). With two or more workers a memtable flush overlaps
@@ -156,32 +146,17 @@ type Options struct {
 	// parallel. 1 restores the strictly-serial pre-scheduler behavior.
 	BackgroundWorkers int
 
-	// PipelinedFlush overlaps memtable-flush computation with its writes
-	// (an extension of the paper's pipelining to the flush path).
-	PipelinedFlush bool
-	// SyncWrites fsyncs the WAL on every commit group.
+	// SyncWrites fsyncs the WAL on every commit group. Concurrent writers
+	// are merged by a leader into one WAL record and one fsync, and reads
+	// never queue behind commit I/O.
 	SyncWrites bool
 
-	// DisableGroupCommit restores the serial commit path (every Write
-	// holds the DB lock across its own WAL append and fsync). By default
-	// concurrent writers are batched by a leader into one WAL record and
-	// one fsync, and reads never queue behind commit I/O.
-	DisableGroupCommit bool
-	// WriteGroupMaxCount caps the writers merged into one commit group
-	// (default 64).
-	WriteGroupMaxCount int
-	// WriteGroupMaxBytes caps one commit group's summed batch payload
-	// (default 1 MiB).
-	WriteGroupMaxBytes int
 	// DisableAutoCompaction turns the background scheduler off.
 	DisableAutoCompaction bool
 	// CompactionPolicy pins the picker: "leveling", "lazy-leveling" or
 	// "coldest-range". Empty enables the metrics-driven self-tuner, which
 	// switches between them as the workload shifts.
 	CompactionPolicy string
-	// PolicyTunerWindow is the self-tuner's sliding sample window in
-	// completed background units (0 = default 8, clamped to [2, 64]).
-	PolicyTunerWindow int
 	// DisableTrivialMove forces full rewrites even when a compaction input
 	// overlaps nothing in the target level (by default such tables move by
 	// metadata edit alone, with no table I/O).
@@ -265,17 +240,14 @@ func Open(opts Options) (*DB, error) {
 	}
 
 	inner, err := lsm.Open(lsm.Options{
-		FS:                  fs,
-		MemtableSize:        int64(opts.MemtableBytes),
-		MemtableShards:      opts.MemtableShards,
-		MemtableArenaChunk:  opts.MemtableArenaBytes,
-		TableSize:           int64(opts.TableBytes),
-		BlockSize:           opts.BlockBytes,
-		BloomBitsPerKey:     opts.BloomBitsPerKey,
-		BlockCacheBytes:     int64(opts.BlockCacheBytes),
-		DisableCachePreWarm: opts.DisableCachePreWarm,
-		ScanReadahead:       opts.ScanReadahead,
-		Codec:               compress.MustByKind(kind),
+		FS:              fs,
+		MemtableSize:    int64(opts.MemtableBytes),
+		MemtableShards:  opts.MemtableShards,
+		TableSize:       int64(opts.TableBytes),
+		BlockSize:       opts.BlockBytes,
+		BloomBitsPerKey: opts.BloomBitsPerKey,
+		BlockCacheBytes: int64(opts.BlockCacheBytes),
+		Codec:           compress.MustByKind(kind),
 		Compaction: core.Config{
 			Mode:            mode,
 			SubtaskSize:     int64(opts.Compaction.SubtaskBytes),
@@ -284,14 +256,9 @@ func Open(opts Options) (*DB, error) {
 			IOParallel:      opts.Compaction.IOWorkers,
 		},
 		BackgroundWorkers:     opts.BackgroundWorkers,
-		PipelinedFlush:        opts.PipelinedFlush,
 		SyncWAL:               opts.SyncWrites,
-		DisableGroupCommit:    opts.DisableGroupCommit,
-		WriteGroupMaxCount:    opts.WriteGroupMaxCount,
-		WriteGroupMaxBytes:    int64(opts.WriteGroupMaxBytes),
 		DisableAutoCompaction: opts.DisableAutoCompaction,
 		CompactionPolicy:      opts.CompactionPolicy,
-		PolicyTunerWindow:     opts.PolicyTunerWindow,
 		DisableTrivialMove:    opts.DisableTrivialMove,
 		BackgroundRetry:       opts.BackgroundRetry,
 		ParanoidChecks:        opts.ParanoidChecks,
