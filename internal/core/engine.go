@@ -111,12 +111,15 @@ type Config struct {
 	// possibly concurrently.
 	WarmOutput func(name string, offset int64, plain []byte)
 	// CPUDilation, when >= 2, stretches every compute step (S2–S6) by
-	// sleeping (D−1)× its measured duration. Together with scaling the
-	// simulated devices by the same factor, this emulates running on a
-	// machine with more cores than the host: the sleep portion of
-	// "computation" overlaps across compute workers even when the host
-	// cannot run them simultaneously, so C-PPCP scaling is observable on
-	// small hosts while every CPU-vs-I/O ratio is preserved. 0/1 = off.
+	// sleeping (D−1)× its thread CPU time, and charges the step D× that
+	// CPU time. Together with scaling the simulated devices by the same
+	// factor, this emulates running on a machine with more cores than the
+	// host: the sleep portion of "computation" overlaps across compute
+	// workers even when the host cannot run them simultaneously, so C-PPCP
+	// scaling is observable on small hosts while every CPU-vs-I/O ratio is
+	// preserved. Time a step spends waiting for a CPU is neither charged
+	// nor dilated (off Linux, where the step is timed in wall time, it is
+	// both). 0/1 = off.
 	CPUDilation int
 	// Governor, when set under ModePCP, is consulted between sub-tasks and
 	// may resize the stage worker sets mid-run: ComputeParallel and
@@ -287,18 +290,18 @@ func (dil *dilation) settle() {
 	dil.credit = time.Since(t0) - target
 }
 
-// computeTime runs one compute step, records its dilated duration, and
-// queues the dilation sleep on dil.
+// computeTime runs one compute step, charges its dilated thread CPU time
+// to step s, and queues the dilation sleep on dil. Charging CPU time rather
+// than wall time keeps a host's contention out of the step: a wait for a
+// CPU, stretched D× by dilation, would otherwise read as compute.
 func (e *engine) computeTime(dil *dilation, s Step, f func()) {
-	start := time.Now()
-	f()
-	elapsed := time.Since(start)
+	charged := cpuTime(f)
 	if d := e.cfg.CPUDilation; d > 1 {
-		extra := elapsed * time.Duration(d-1)
+		extra := charged * time.Duration(d-1)
 		dil.pending += extra
-		elapsed += extra
+		charged += extra
 	}
-	e.clock.add(s, elapsed)
+	e.clock.add(s, charged)
 }
 
 // rawJob is a sub-task after the read stage: physical blocks per span.
@@ -339,7 +342,9 @@ func (e *engine) runSequential(subtasks []Subtask) {
 			e.fail(err)
 			return
 		}
+		begin := time.Now()
 		wj, err := e.computeSubtask(job, &dil)
+		e.busyCompute.Add(int64(time.Since(begin)))
 		if err != nil {
 			e.fail(err)
 			return
@@ -349,10 +354,12 @@ func (e *engine) runSequential(subtasks []Subtask) {
 			return
 		}
 	}
-	// Under SCP the "stages" are just the step groups.
-	e.busyRead.Store(int64(e.clock.snapshot().ReadTime()))
-	e.busyCompute.Store(int64(e.clock.snapshot().ComputeTime()))
-	e.busyWrite.Store(int64(e.clock.snapshot().WriteTime()))
+	// Under SCP the I/O "stages" are just S1 and S7. The compute stage is
+	// timed in wall time above, as the pipeline's compute workers time it:
+	// the S2–S6 step clocks count CPU time only.
+	st := e.clock.snapshot()
+	e.busyRead.Store(int64(st.ReadTime()))
+	e.busyWrite.Store(int64(st.WriteTime()))
 }
 
 // readSubtask performs S1: one contiguous physical read per span, sliced

@@ -64,7 +64,9 @@ func (s Step) String() string {
 	}
 }
 
-// stepClock accumulates per-step durations from concurrent workers.
+// stepClock accumulates per-step durations from concurrent workers: wall
+// time around the I/O steps S1 and S7, and for the compute steps S2–S6 the
+// thread CPU time, dilated under Config.CPUDilation (engine.computeTime).
 type stepClock struct {
 	ns [numSteps + 1]atomic.Int64
 }
@@ -149,12 +151,13 @@ func (b Breakdown) String() string {
 type Stats struct {
 	// Mode is the procedure that ran (after ModeAuto resolution).
 	Mode Mode
-	// Steps holds the per-step CPU/device time sums.
+	// Steps holds the per-step time sums: device (wall) time for S1 and
+	// S7, thread CPU time for S2–S6.
 	Steps StepTimes
 	// Wall is the end-to-end compaction duration.
 	Wall time.Duration
-	// StageBusy is the busy (non-waiting) time of the read, compute and
-	// write stages; for SCP these equal the step sums.
+	// StageBusy is the busy (non-waiting) wall time of the read, compute
+	// and write stages; for SCP the read and write stages equal S1 and S7.
 	StageBusy struct {
 		Read, Compute, Write time.Duration
 	}
