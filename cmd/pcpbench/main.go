@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	pcpbench -fig 5            # one figure: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model
+//	pcpbench -fig 5            # one figure: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model, codec
 //	pcpbench -fig all          # everything
 //	pcpbench -scale quick      # quick (default) or full
 //	pcpbench -timescale 0.5    # speed up the simulated devices
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model, all")
+	fig := flag.String("fig", "all", "figure to regenerate: 5, 8, 9, 10, 11, 11b, 12, 12s, 12c, model, codec, all")
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
 	timeScale := flag.Float64("timescale", -1, "override simulated-device time scale (1.0 = faithful)")
 	flag.Parse()
@@ -55,10 +55,11 @@ func main() {
 		"12s":   {{"12a-c", harness.Fig12SPPCP}},
 		"12c":   {{"12d-f", harness.Fig12CPPCP}},
 		"model": {{"model", harness.FigModel}},
+		"codec": {{"codec", harness.FigCodec}},
 	}
 	var runs []figure
 	if *fig == "all" {
-		for _, key := range []string{"5", "8", "9", "10", "11", "12", "model"} {
+		for _, key := range []string{"5", "8", "9", "10", "11", "12", "model", "codec"} {
 			runs = append(runs, figures[key]...)
 		}
 	} else {

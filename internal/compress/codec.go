@@ -6,7 +6,7 @@
 // from scratch rather than treating compression as a no-op. A DEFLATE codec
 // (heavier CPU) and an identity codec (no CPU) are also provided; switching
 // codecs moves the pipeline between CPU-bound and I/O-bound regimes, which
-// the ablation benchmarks exploit.
+// the codec ablation (`pcpbench -fig codec`) shows.
 package compress
 
 import (

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 )
 
 // This file implements the Snappy block format
@@ -90,20 +91,25 @@ func snappyLoad32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+// snappyMaxTableSize is the match finder's largest hash table.
+const snappyMaxTableSize = 1 << 14
+
+// snappyTables recycles match-finder tables. A table declared in
+// snappyEncodeChunk would be zeroed whole (64 KiB) on every call, while a
+// 4 KiB block uses only its first 4096 entries.
+var snappyTables = sync.Pool{New: func() any { return new([snappyMaxTableSize]int32) }}
+
 // snappyEncodeChunk greedily encodes one chunk (≤ 64 KiB) of src.
 func snappyEncodeChunk(dst, src []byte) []byte {
-	const (
-		maxTableBits = 14
-		maxTableSize = 1 << maxTableBits
-	)
 	// Size the table to the chunk to keep small blocks cheap.
 	shift, tableSize := uint(32-8), 1<<8
-	for tableSize < maxTableSize && tableSize < len(src) {
+	for tableSize < snappyMaxTableSize && tableSize < len(src) {
 		shift--
 		tableSize *= 2
 	}
-	var table [maxTableSize]int32
-	for i := 0; i < tableSize; i++ {
+	pooled := snappyTables.Get().(*[snappyMaxTableSize]int32)
+	table := pooled[:tableSize]
+	for i := range table {
 		table[i] = -1
 	}
 
@@ -139,6 +145,7 @@ func snappyEncodeChunk(dst, src []byte) []byte {
 	if nextEmit < len(src) {
 		dst = snappyEmitLiteral(dst, src[nextEmit:])
 	}
+	snappyTables.Put(pooled)
 	return dst
 }
 

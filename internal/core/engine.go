@@ -20,36 +20,29 @@ import (
 type Mode int
 
 const (
-	// ModeAuto, the zero value, resolves to the engine default: ModePCP.
-	// Pipelining is the paper's contribution, so a zero-valued Config
-	// pipelines; select ModeSCP explicitly for the sequential baseline.
-	ModeAuto Mode = iota
+	// ModePCP, the zero value, is the Pipelined Compaction Procedure: three
+	// stages (read / compute / write) run concurrently over the sub-task
+	// stream, joined by queues of depth queueDepth. With ComputeParallel > 1
+	// it is C-PPCP; with IOParallel > 1 it is S-PPCP. Pipelining is the
+	// paper's contribution, so a zero-valued Config pipelines.
+	ModePCP Mode = iota
 	// ModeSCP is the Sequential Compaction Procedure: sub-tasks run one
 	// after another, each stepping S1…S7 in order.
 	ModeSCP
-	// ModePCP is the Pipelined Compaction Procedure: three stages (read /
-	// compute / write) run concurrently over the sub-task stream. With
-	// ComputeParallel > 1 it is C-PPCP; with IOParallel > 1 it is S-PPCP.
-	ModePCP
-	// ModeDeepPCP is the five-stage variant the paper rejects in §III-B
-	// (read / verify+decompress / merge / compress+checksum / write). It
-	// exists for the ablation benchmarks: its finer stages suffer the load
-	// imbalance the paper predicts — the merge and compress stages dominate
-	// and the others idle — so it trails C-PPCP at equal parallelism.
-	ModeDeepPCP
 )
 
-// String names the mode, including the parallel variants.
+// queueDepth is the buffer depth of the queues between pipeline stages.
+// Depths 1, 2 and 8 measured the same bandwidth (EXPERIMENTS.md), so the
+// depth is not a knob.
+const queueDepth = 2
+
+// String names the mode.
 func (m Mode) String() string {
 	switch m {
-	case ModeAuto:
-		return "auto"
-	case ModeSCP:
-		return "scp"
 	case ModePCP:
 		return "pcp"
-	case ModeDeepPCP:
-		return "pcp-deep"
+	case ModeSCP:
+		return "scp"
 	default:
 		return fmt.Sprintf("mode(%d)", int(m))
 	}
@@ -61,15 +54,12 @@ type OutputSink func() (name string, f storage.File, err error)
 
 // Config parameterizes one compaction run.
 type Config struct {
-	// Mode selects SCP or PCP.
+	// Mode selects PCP (the zero value) or SCP.
 	Mode Mode
-	// SubtaskSize is the target physical input bytes per sub-task. Zero
-	// selects the 512 KiB default (the best point in the paper's Figure
-	// 11(a)); a negative value disables partitioning entirely, producing a
-	// single sub-task for the whole compaction.
+	// SubtaskSize is the target physical input bytes per sub-task. Zero or
+	// a negative value selects the 512 KiB default (the best point in the
+	// paper's Figure 11(a)).
 	SubtaskSize int64
-	// QueueDepth is the buffer depth of the queues between pipeline stages.
-	QueueDepth int
 	// ComputeParallel is the number of compute-stage workers (C-PPCP when
 	// > 1). Ignored under SCP.
 	ComputeParallel int
@@ -124,20 +114,13 @@ type Config struct {
 	// Governor, when set under ModePCP, is consulted between sub-tasks and
 	// may resize the stage worker sets mid-run: ComputeParallel and
 	// IOParallel become the starting widths rather than fixed ones. Ignored
-	// under the other modes (ModeDeepPCP keeps the paper's fixed five-stage
-	// shape; SCP has no stages to widen).
+	// under SCP, which has no stages to widen.
 	Governor PipelineGovernor
 }
 
 func (c Config) withDefaults() Config {
-	if c.Mode == ModeAuto {
-		c.Mode = ModePCP
-	}
-	if c.SubtaskSize == 0 {
+	if c.SubtaskSize <= 0 {
 		c.SubtaskSize = 512 << 10
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2
 	}
 	if c.ComputeParallel <= 0 {
 		c.ComputeParallel = 1
@@ -194,8 +177,6 @@ func Run(cfg Config, inputs []*TableSource, sink OutputSink) (*Result, error) {
 		e.runSequential(subtasks)
 	case ModePCP:
 		e.runPipelined(subtasks)
-	case ModeDeepPCP:
-		e.runDeepPipeline(subtasks)
 	default:
 		return nil, fmt.Errorf("core: unknown mode %v", cfg.Mode)
 	}
@@ -661,11 +642,6 @@ func (e *engine) writeSubtask(wj *writeJob) error {
 				}
 			}
 			meta, werr = w.Finish()
-			// The output must be durable before the caller journals it and
-			// drops the input tables it replaces.
-			if werr == nil {
-				werr = f.Sync()
-			}
 		})
 		if cerr := f.Close(); werr == nil {
 			werr = cerr

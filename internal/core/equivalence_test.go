@@ -12,9 +12,9 @@ import (
 
 // TestEnginesEquivalentUnderRandomConfigs is the randomized engine
 // equivalence property: for random input shapes and random engine knobs
-// (sub-task size, queue depth, parallelism, codec, block/table sizes,
-// tombstone policy, retention), every procedure — SCP, PCP, Deep-PCP,
-// C-PPCP, S-PPCP — must produce exactly the same logical entry stream.
+// (sub-task size, parallelism, codec, block/table sizes, tombstone policy,
+// retention), every procedure — SCP, PCP, C-PPCP, S-PPCP — must produce
+// exactly the same logical entry stream.
 func TestEnginesEquivalentUnderRandomConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBEEF))
 	codecs := []compress.Kind{compress.None, compress.Snappy, compress.Flate}
@@ -41,7 +41,6 @@ func TestEnginesEquivalentUnderRandomConfigs(t *testing.T) {
 		}
 		base := Config{
 			SubtaskSize:     int64(1<<10 + rng.Intn(64<<10)),
-			QueueDepth:      1 + rng.Intn(4),
 			BlockSize:       512 + rng.Intn(4096),
 			TableSize:       int64(8<<10 + rng.Intn(64<<10)),
 			Codec:           compress.MustByKind(codecs[rng.Intn(len(codecs))]),
@@ -64,7 +63,6 @@ func TestEnginesEquivalentUnderRandomConfigs(t *testing.T) {
 
 		variants := map[string]func(Config) Config{
 			"pcp":    func(c Config) Config { c.Mode = ModePCP; return c },
-			"deep":   func(c Config) Config { c.Mode = ModeDeepPCP; return c },
 			"c-ppcp": func(c Config) Config { c.Mode = ModePCP; c.ComputeParallel = 2 + rng.Intn(3); return c },
 			"s-ppcp": func(c Config) Config { c.Mode = ModePCP; c.IOParallel = 2 + rng.Intn(3); return c },
 		}

@@ -248,11 +248,10 @@ func (e *engine) runPipelined(subtasks []Subtask) {
 	if len(subtasks) == 0 {
 		return
 	}
-	qd := e.cfg.QueueDepth
 	p := &pcpPipe{
-		subCh:          make(chan *Subtask, qd),
-		compCh:         make(chan *rawJob, qd),
-		writeCh:        make(chan *writeJob, qd),
+		subCh:          make(chan *Subtask, queueDepth),
+		compCh:         make(chan *rawJob, queueDepth),
+		writeCh:        make(chan *writeJob, queueDepth),
 		total:          int64(len(subtasks)),
 		initialCompute: e.cfg.ComputeParallel,
 		initialIO:      e.cfg.IOParallel,

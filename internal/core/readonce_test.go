@@ -105,7 +105,7 @@ func TestS1ReadsEachInputBlockOnce(t *testing.T) {
 	}
 
 	var ref [][]byte
-	for _, mode := range []Mode{ModeSCP, ModePCP, ModeDeepPCP} {
+	for _, mode := range []Mode{ModeSCP, ModePCP} {
 		inputs := fi.inputs(t)
 		got, res := fi.run(t, mode.String(), Config{Mode: mode, IOParallel: 1}, inputs)
 		if n := fi.read.Load(); n != fi.dataLen || res.Stats.InputBytes != fi.dataLen {
@@ -132,17 +132,13 @@ func TestS1ReadsEachInputBlockOnce(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []Mode{ModePCP, ModeDeepPCP} {
-		inputs := fi.inputs(t)
-		name := mode.String() + "-wide"
-		got, res := fi.run(t, name, Config{Mode: mode, IOParallel: 4, ComputeParallel: 3}, inputs)
-		assertSameTables(t, name, got, ref)
-		// Out-of-order readers may fetch a boundary block twice, but the
-		// counter still reports exactly what was fetched.
-		if n := fi.read.Load(); n != res.Stats.InputBytes || n < fi.dataLen {
-			t.Errorf("%s: read %d bytes, Stats.InputBytes %d; inputs hold %d",
-				name, n, res.Stats.InputBytes, fi.dataLen)
-		}
+	got, res := fi.run(t, "pcp-wide", Config{Mode: ModePCP, IOParallel: 4, ComputeParallel: 3}, fi.inputs(t))
+	assertSameTables(t, "pcp-wide", got, ref)
+	// Out-of-order readers may fetch a boundary block twice, but the
+	// counter still reports exactly what was fetched.
+	if n := fi.read.Load(); n != res.Stats.InputBytes || n < fi.dataLen {
+		t.Errorf("pcp-wide: read %d bytes, Stats.InputBytes %d; inputs hold %d",
+			n, res.Stats.InputBytes, fi.dataLen)
 	}
 }
 
@@ -185,7 +181,7 @@ func TestS1SharedCorruptBlockFailsInS2(t *testing.T) {
 	fi.names[src] = "bad.sst"
 
 	for i, cfg := range []Config{
-		{Mode: ModeSCP}, {Mode: ModePCP}, {Mode: ModeDeepPCP},
+		{Mode: ModeSCP}, {Mode: ModePCP},
 		{Mode: ModePCP, IOParallel: 4, ComputeParallel: 3},
 	} {
 		cfg.SubtaskSize = fi.subtask

@@ -175,17 +175,18 @@ func TestGovernorVerdictClamped(t *testing.T) {
 	assertSameTables(t, "clamped", got, ref)
 }
 
-// TestModeAutoResolvesToPCP: the zero-valued Mode pipelines.
-func TestModeAutoResolvesToPCP(t *testing.T) {
+// TestZeroModeIsPCP: the zero-valued Mode pipelines, byte-identically to
+// SCP.
+func TestZeroModeIsPCP(t *testing.T) {
 	refTables, _ := resizeDump(t, Config{Mode: ModeSCP})
-	got, res := resizeDump(t, Config{}) // Mode zero value = ModeAuto
-	if res.Stats.Mode != ModePCP {
-		t.Fatalf("Stats.Mode = %v, want pcp (ModeAuto must resolve to PCP)", res.Stats.Mode)
+	got, res := resizeDump(t, Config{})
+	if res.Stats.Mode != ModePCP || res.Stats.Pipeline.InitialComputeWorkers != 1 {
+		t.Fatalf("Stats.Mode = %v, pipeline %+v: want pcp", res.Stats.Mode, res.Stats.Pipeline)
 	}
-	if ModeAuto.String() != "auto" {
-		t.Fatalf("ModeAuto.String() = %q", ModeAuto.String())
+	if ModePCP.String() != "pcp" || ModeSCP.String() != "scp" {
+		t.Fatalf("String = %q, %q", ModePCP.String(), ModeSCP.String())
 	}
-	assertSameTables(t, "auto", got, refTables)
+	assertSameTables(t, "zero", got, refTables)
 }
 
 // TestPipelineIdleAccounting: a PCP run records worker idle time consistent

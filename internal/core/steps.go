@@ -149,7 +149,7 @@ func (b Breakdown) String() string {
 
 // Stats aggregates everything measured during one compaction.
 type Stats struct {
-	// Mode is the procedure that ran (after ModeAuto resolution).
+	// Mode is the procedure that ran.
 	Mode Mode
 	// Steps holds the per-step time sums: device (wall) time for S1 and
 	// S7, thread CPU time for S2–S6.

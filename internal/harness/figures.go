@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"pcplsm/internal/compress"
 	"pcplsm/internal/core"
 	"pcplsm/internal/model"
 )
@@ -293,6 +294,42 @@ func Fig12CPPCP(sc Scale) (*Table, error) {
 	}
 	t.Note("paper: gains stop once the pipeline becomes I/O-bound")
 	return t, nil
+}
+
+// codecKinds are the FigCodec rows, cheapest compute first.
+var codecKinds = []compress.Kind{compress.None, compress.Snappy, compress.Flate}
+
+// FigCodec is the codec ablation: the SCP read/compute/write breakdown and
+// bandwidth of one isolated SSD compaction per block codec. The codec moves
+// the pipeline between regimes: none leaves little compute (I/O-heavy),
+// snappy is the paper's balance, flate is deeply CPU-bound.
+func FigCodec(sc Scale) (*Table, error) {
+	t := &Table{
+		Title:   "Codec ablation: SCP breakdown and bandwidth vs block codec (SSD)",
+		Columns: []string{"codec", "read", "compute", "write", "cbw"},
+	}
+	for _, kind := range codecKinds {
+		st, err := codecRun(sc, kind)
+		if err != nil {
+			return nil, err
+		}
+		r, c, w := st.Steps.Breakdown().Fractions()
+		t.AddRow(kind.String(), pct(r), pct(c), pct(w), mibs(st.Bandwidth()))
+	}
+	t.Note("compute share rises none < snappy < flate; bandwidth falls as compute grows")
+	return t, nil
+}
+
+// codecRun runs one FigCodec row: an isolated SCP compaction on SSD whose
+// inputs and outputs use the given codec.
+func codecRun(sc Scale, kind compress.Kind) (core.Stats, error) {
+	return RunIsolated(IsolatedConfig{
+		Device:     "ssd",
+		TimeScale:  sc.TimeScale,
+		UpperBytes: sc.CompactionBytes,
+		Engine: sc.engine(core.Config{Mode: core.ModeSCP, SubtaskSize: 512 << 10,
+			Codec: compress.MustByKind(kind)}),
+	})
 }
 
 // FigModel validates Equations 1–7: it profiles SCP per-step times on each

@@ -215,10 +215,11 @@ func TestFig11Shape(t *testing.T) {
 		t.Errorf("PCP %.1f ≤ SCP %.1f MiB/s at 256K sub-tasks",
 			pcp.Bandwidth()/(1<<20), scp.Bandwidth()/(1<<20))
 	}
-	// One giant sub-task disables pipelining: PCP ≈ SCP.
-	single := run(core.ModePCP, -1)
+	// One sub-task larger than the whole input (upper plus twice as much
+	// lower) disables pipelining: PCP ≈ SCP.
+	single := run(core.ModePCP, 4*sc.CompactionBytes)
 	if single.Subtasks != 1 {
-		t.Fatalf("subtask size 0 should yield one sub-task, got %d", single.Subtasks)
+		t.Fatalf("a sub-task larger than the input should yield one sub-task, got %d", single.Subtasks)
 	}
 	if single.Bandwidth() > pcp.Bandwidth()*1.05 {
 		t.Errorf("unpipelined run (%.1f) should not beat pipelined (%.1f)",
@@ -290,6 +291,26 @@ func TestFig12SppcpShape(t *testing.T) {
 	}
 }
 
+// TestFigCodecShape: the compute share rises with the codec's CPU cost,
+// none < snappy < flate.
+func TestFigCodecShape(t *testing.T) {
+	skipUnderRace(t)
+	sc := testScale()
+	sc.CompactionBytes = 1 << 20
+	prev, prevKind := -1.0, ""
+	for _, kind := range codecKinds {
+		st, err := codecRun(sc, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, c, _ := st.Steps.Breakdown().Fractions()
+		if c <= prev {
+			t.Errorf("compute share %s %.2f, want above %s's %.2f", kind, c, prevKind, prev)
+		}
+		prev, prevKind = c, kind.String()
+	}
+}
+
 // TestModelAgreesWithMeasurement: the analytical model's regime matches the
 // measured one, and measured PCP speedup does not exceed the ideal Eq.3
 // prediction (the paper: practice trails the ideal by ~10%).
@@ -321,8 +342,7 @@ func TestModelAgreesWithMeasurement(t *testing.T) {
 }
 
 // TestFigureFunctionsProduceTables smoke-runs the cheap figure functions
-// end to end (the expensive sweeps are covered by cmd/pcpbench and the
-// benchmarks).
+// end to end (the expensive sweeps are covered by cmd/pcpbench).
 func TestFigureFunctionsProduceTables(t *testing.T) {
 	sc := testScale()
 	tb, err := Fig5(sc)

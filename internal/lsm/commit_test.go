@@ -499,3 +499,78 @@ func TestGroupCommitStressRandom(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkCommitWriters measures the commit path alone: N goroutines
+// issuing Puts against an in-memory store whose memtable never fills and
+// whose background work is off, so only group commit (WAL append, optional
+// fsync) and the memtable apply are on the clock. The sync arms show what
+// group commit buys: syncs/commit falls below 1 with several writers, and
+// writers1 is the one-fsync-per-commit baseline. The shards arms show the
+// parallel shard apply: shards/group is the mean apply fan-out and
+// parallel-share the fraction of groups applied by concurrent shard
+// goroutines; shards1 is the single-skiplist baseline.
+//
+//	go test -run '^$' -bench BenchmarkCommitWriters -benchtime 2000x ./internal/lsm
+func BenchmarkCommitWriters(b *testing.B) {
+	type arm struct {
+		name   string
+		sync   bool
+		shards int
+	}
+	var arms []arm
+	for _, syncWAL := range []bool{false, true} {
+		arms = append(arms, arm{name: fmt.Sprintf("sync=%v", syncWAL), sync: syncWAL})
+	}
+	for _, shards := range []int{1, 4, 8} {
+		arms = append(arms, arm{name: fmt.Sprintf("shards%d", shards), shards: shards})
+	}
+	for _, writers := range []int{1, 4, 16} {
+		for _, a := range arms {
+			b.Run(fmt.Sprintf("writers%d/%s", writers, a.name), func(b *testing.B) {
+				db, err := Open(Options{
+					FS:                    storage.NewMemFS(),
+					MemtableSize:          256 << 20,
+					MemtableShards:        a.shards,
+					SyncWAL:               a.sync,
+					DisableAutoCompaction: true,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer db.Close()
+				val := make([]byte, 100)
+				b.SetBytes(116)
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				per := b.N / writers
+				for w := 0; w < writers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						key := make([]byte, 16)
+						for i := 0; i < per; i++ {
+							copy(key, fmt.Sprintf("w%03d%08d", w, i))
+							if err := db.Put(key, val); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				st := db.Stats()
+				if st.WriteGroups == 0 {
+					return
+				}
+				if a.sync {
+					b.ReportMetric(float64(st.WALSyncs)/float64(st.GroupedWrites), "syncs/commit")
+				}
+				b.ReportMetric(float64(st.GroupedWrites)/float64(st.WriteGroups), "writes/group")
+				b.ReportMetric(float64(st.ApplyShardRuns)/float64(st.WriteGroups), "shards/group")
+				b.ReportMetric(float64(st.ParallelApplies)/float64(st.WriteGroups), "parallel-share")
+			})
+		}
+	}
+}

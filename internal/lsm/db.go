@@ -944,11 +944,6 @@ func (db *DB) buildLevel0Table(mem *memtable.Memtable) (*TableMeta, error) {
 		}
 	}
 	tm, err := w.Finish()
-	// The table must be durable before the manifest references it and the
-	// WAL that covers its contents is deleted.
-	if err == nil {
-		err = f.Sync()
-	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -1248,9 +1243,9 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 // snapshot is open, because there a rewrite is not pure waste — it is the
 // only chance to drop tombstones and shadowed versions (with a snapshot
 // open the rewrite would have to retain them anyway, so the move loses
-// nothing). Called with db.mu held (reads db.policy and db.snapshots).
+// nothing). Called with db.mu held (reads db.snapshots).
 func (db *DB) trivialMoveOK(pc *pickedCompaction) bool {
-	if db.opts.DisableTrivialMove || !db.policy.AllowTrivialMove() {
+	if db.opts.DisableTrivialMove {
 		return false
 	}
 	if len(pc.inputs) != 1 || len(pc.overlap) != 0 {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -702,5 +703,73 @@ func TestSeqSurvivesFlushAndReopen(t *testing.T) {
 	}
 	if _, err := db2.Get([]byte("sq0001")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("delete after reopen ineffective: %v", err)
+	}
+}
+
+// syncCountFS counts Sync calls per .sst file created through it.
+type syncCountFS struct {
+	storage.FS
+	mu    sync.Mutex
+	syncs map[string]int
+}
+
+func (c *syncCountFS) Create(name string) (storage.File, error) {
+	f, err := c.FS.Create(name)
+	if err != nil || !strings.HasSuffix(name, ".sst") {
+		return f, err
+	}
+	c.mu.Lock()
+	c.syncs[name] = 0
+	c.mu.Unlock()
+	return &syncCountFile{File: f, fs: c, name: name}, nil
+}
+
+type syncCountFile struct {
+	storage.File
+	fs   *syncCountFS
+	name string
+}
+
+func (f *syncCountFile) Sync() error {
+	f.fs.mu.Lock()
+	f.fs.syncs[f.name]++
+	f.fs.mu.Unlock()
+	return f.File.Sync()
+}
+
+// TestTablesSyncedOnce: every flush output and every compaction output is
+// synced exactly once, by the table writer's Finish, under both procedures.
+func TestTablesSyncedOnce(t *testing.T) {
+	for _, mode := range []core.Mode{core.ModeSCP, core.ModePCP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fs := &syncCountFS{FS: storage.NewMemFS(), syncs: map[string]int{}}
+			opts := smallOpts(fs)
+			opts.Compaction.Mode = mode
+			db := mustOpen(t, opts)
+			defer db.Close()
+			rng := rand.New(rand.NewSource(1))
+			val := make([]byte, 100)
+			for i := 0; i < 6000; i++ {
+				rng.Read(val)
+				if err := db.Put([]byte(fmt.Sprintf("sy%06d", rng.Intn(20000))), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			st := db.Stats()
+			fs.mu.Lock()
+			defer fs.mu.Unlock()
+			if st.Flushes == 0 || st.Compactions == 0 || int64(len(fs.syncs)) <= st.Flushes {
+				t.Fatalf("%d flushes, %d compactions, %d tables: want flush and compaction outputs",
+					st.Flushes, st.Compactions, len(fs.syncs))
+			}
+			for name, n := range fs.syncs {
+				if n != 1 {
+					t.Errorf("%s synced %d times, want 1", name, n)
+				}
+			}
+		})
 	}
 }

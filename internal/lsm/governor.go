@@ -127,20 +127,6 @@ func (l *pipelineLease) shrinkCompute() {
 	l.g.mu.Unlock()
 }
 
-// shrinkIO returns one I/O token (never the baseline).
-func (l *pipelineLease) shrinkIO() {
-	l.mu.Lock()
-	if l.io <= 1 {
-		l.mu.Unlock()
-		return
-	}
-	l.io--
-	l.mu.Unlock()
-	l.g.mu.Lock()
-	l.g.ioLeased--
-	l.g.mu.Unlock()
-}
-
 // widths returns the lease's current token counts.
 func (l *pipelineLease) widths() (compute, io int) {
 	l.mu.Lock()
@@ -184,9 +170,11 @@ func (g *pipelineGovernor) snapshot() (computeTotal, ioTotal, computeLeased, ioL
 // (compute-bound — widen compute); an empty one with the read stage's busy
 // clock dominating means compute starves on input (I/O-bound — widen I/O);
 // a full compute→write queue means the write stage is the choke (also
-// I/O-bound). When a widened stage's queue pressure inverts, the pilot
-// gives the width — and the token — back, so a burst of compute-bound
-// sub-tasks doesn't pin tokens for the rest of the run.
+// I/O-bound). When compute idles on an empty queue while I/O dominates,
+// the pilot gives a compute worker — and its token — back, so a burst of
+// compute-bound sub-tasks doesn't pin tokens for the rest of the run. I/O
+// width is never shrunk: a full compute queue with an empty write queue is
+// already the compute-bound case above.
 type adaptivePilot struct {
 	lease *pipelineLease
 	stats *statsCollector
@@ -206,7 +194,6 @@ func (a *adaptivePilot) Adjust(t core.PipelineTelemetry) core.PipelineResize {
 	compFull := t.ComputeQueueCap > 0 && t.ComputeQueue >= t.ComputeQueueCap
 	compEmpty := t.ComputeQueue == 0
 	writeFull := t.WriteQueueCap > 0 && t.WriteQueue >= t.WriteQueueCap
-	writeEmpty := t.WriteQueue == 0
 	b := t.StageBusy
 	switch {
 	case compFull && !writeFull:
@@ -232,12 +219,6 @@ func (a *adaptivePilot) Adjust(t core.PipelineTelemetry) core.PipelineResize {
 		// token back so a sibling compaction can use it.
 		a.lease.shrinkCompute()
 		r.Compute--
-		a.stats.update(func(s *Stats) { s.GovernorShrinks++ })
-		a.lastActed = t.SubtasksDone
-	case writeEmpty && compFull && t.IOWorkers > 1:
-		// I/O overprovisioned: writers drain instantly while compute chokes.
-		a.lease.shrinkIO()
-		r.IO--
 		a.stats.update(func(s *Stats) { s.GovernorShrinks++ })
 		a.lastActed = t.SubtasksDone
 	}

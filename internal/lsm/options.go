@@ -71,16 +71,12 @@ type Options struct {
 	// isolating the effect (the policy comparison's write-amp ablation).
 	DisableTrivialMove bool
 
-	// Compaction configures the procedure (mode, sub-task size, queue depth,
+	// Compaction configures the procedure (mode, sub-task size,
 	// compute/IO parallelism). Block/table/codec fields inside it are
-	// overridden by the DB-level settings above. The zero-valued Mode
-	// (core.ModeAuto) resolves to core.ModePCP: live compactions pipeline by
-	// default; set core.ModeSCP explicitly for the sequential baseline.
-	// QueueDepth is clamped to [1, 32], ComputeParallel and IOParallel to
-	// [1, 16] (zero values keep core's defaults). SubtaskSize < 0 is the
-	// single-sub-task escape hatch: it disables partitioning so the whole
-	// compaction is one sub-task — pipelining then degenerates to SCP order,
-	// useful to isolate partitioning effects in experiments.
+	// overridden by the DB-level settings above. The zero-valued Mode is
+	// core.ModePCP: live compactions pipeline by default; set core.ModeSCP
+	// explicitly for the sequential baseline. ComputeParallel and
+	// IOParallel are clamped to [1, 16] (zero values keep core's defaults).
 	Compaction core.Config
 
 	// PipelineComputeTokens sizes the engine-wide compute-token pool shared
@@ -254,13 +250,8 @@ func (o Options) withDefaults() Options {
 	o.Compaction.Codec = o.Codec
 	o.Compaction.TableSize = o.TableSize
 	o.Compaction.BloomBitsPerKey = o.BloomBitsPerKey
-	// Resolve the procedure and clamp the pipeline knobs to sane ranges.
-	// SubtaskSize passes through: 0 selects core's 512 KiB default and
-	// negative values are the documented single-sub-task escape hatch.
-	if o.Compaction.Mode == core.ModeAuto {
-		o.Compaction.Mode = core.ModePCP
-	}
-	o.Compaction.QueueDepth = clampInt(o.Compaction.QueueDepth, 0, 32)
+	// Clamp the pipeline widths to sane ranges. SubtaskSize passes
+	// through: core maps zero and negative values to its 512 KiB default.
 	o.Compaction.ComputeParallel = clampInt(o.Compaction.ComputeParallel, 0, 16)
 	o.Compaction.IOParallel = clampInt(o.Compaction.IOParallel, 0, 16)
 	if o.PipelineComputeTokens <= 0 {

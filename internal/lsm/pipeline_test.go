@@ -202,25 +202,19 @@ func TestGovernorGaugesAndStats(t *testing.T) {
 	}
 }
 
-// TestCompactionOptionsClamped covers the Options validation satellite:
-// absurd pipeline knobs are clamped, ModeAuto resolves to PCP, and the
-// SubtaskSize<0 escape hatch survives withDefaults untouched.
+// TestCompactionOptionsClamped covers Options validation: absurd pipeline
+// widths are clamped and the zero Mode is PCP.
 func TestCompactionOptionsClamped(t *testing.T) {
 	o := Options{
 		FS: storage.NewMemFS(),
 		Compaction: core.Config{
-			QueueDepth:      1000,
 			ComputeParallel: -5,
 			IOParallel:      99,
-			SubtaskSize:     -1,
 		},
 	}
 	d := o.withDefaults()
 	if d.Compaction.Mode != core.ModePCP {
-		t.Fatalf("Mode = %v, want pcp (auto must resolve to PCP)", d.Compaction.Mode)
-	}
-	if d.Compaction.QueueDepth != 32 {
-		t.Fatalf("QueueDepth = %d, want clamp to 32", d.Compaction.QueueDepth)
+		t.Fatalf("Mode = %v, want pcp (the zero value)", d.Compaction.Mode)
 	}
 	if d.Compaction.ComputeParallel != 0 {
 		t.Fatalf("ComputeParallel = %d, want 0 (negative maps to core default)",
@@ -228,10 +222,6 @@ func TestCompactionOptionsClamped(t *testing.T) {
 	}
 	if d.Compaction.IOParallel != 16 {
 		t.Fatalf("IOParallel = %d, want clamp to 16", d.Compaction.IOParallel)
-	}
-	if d.Compaction.SubtaskSize != -1 {
-		t.Fatalf("SubtaskSize = %d, want -1 (escape hatch must pass through)",
-			d.Compaction.SubtaskSize)
 	}
 	if d.PipelineComputeTokens < 1 {
 		t.Fatalf("PipelineComputeTokens default = %d, want >= 1", d.PipelineComputeTokens)
@@ -295,8 +285,9 @@ func TestGovernorLeasePools(t *testing.T) {
 
 // TestAdaptivePilotClassification feeds the pilot synthetic telemetry and
 // checks each classification branch: compute-bound grows compute, I/O-bound
-// grows I/O, overprovisioned stages shrink, exhausted pools count denials,
-// and the hysteresis window suppresses back-to-back actions.
+// grows I/O, overprovisioned compute shrinks, exhausted pools count denials,
+// I/O width never shrinks, and the hysteresis window suppresses
+// back-to-back actions.
 func TestAdaptivePilotClassification(t *testing.T) {
 	g := newPipelineGovernor(4, 4)
 	lease := g.acquire(1, 1)
@@ -368,4 +359,27 @@ func TestAdaptivePilotClassification(t *testing.T) {
 		t.Fatalf("GovernorDenials = %d, want 1", s2.GovernorDenials)
 	}
 	lease2.release()
+
+	// Full compute queue, empty write queue, two I/O workers: compute-bound.
+	// The pilot grows compute while the pool allows and then counts a
+	// denial; it never hands I/O width back.
+	g3 := newPipelineGovernor(2, 2)
+	lease3 := g3.acquire(1, 2)
+	var sc3 statsCollector
+	pilot3 := &adaptivePilot{lease: lease3, stats: &sc3}
+	for i, cw := range []int{1, 2} {
+		r = pilot3.Adjust(tel(2*(i+1), cw, 2, 4, 0, core.Breakdown{}))
+		if r.Compute != 2 || r.IO != 2 {
+			t.Fatalf("step %d: verdict = %+v, want compute 2, io 2", i, r)
+		}
+	}
+	s3 := sc3.snapshot()
+	if s3.GovernorGrows != 1 || s3.GovernorDenials != 1 || s3.GovernorShrinks != 0 {
+		t.Fatalf("grows/denials/shrinks = %d/%d/%d, want 1/1/0",
+			s3.GovernorGrows, s3.GovernorDenials, s3.GovernorShrinks)
+	}
+	if c, io := lease3.widths(); c != 2 || io != 2 {
+		t.Fatalf("lease widths = %d/%d, want 2/2", c, io)
+	}
+	lease3.release()
 }

@@ -44,8 +44,8 @@ const (
 )
 
 // CompactionPolicy decides which compaction to run: trigger scoring (is
-// any level due, and which is most urgent), input selection (which table
-// of the due level moves), and trivial-move eligibility. Pick is called
+// any level due, and which is most urgent) and input selection (which
+// table of the due level moves). Pick is called
 // with db.mu held on every scheduler pass; implementations must be cheap
 // and must not retain env or v.
 type CompactionPolicy interface {
@@ -54,10 +54,6 @@ type CompactionPolicy interface {
 	// Pick selects the next compaction, or nil when no unclaimed level is
 	// over its threshold under this policy's triggers.
 	Pick(env *policyEnv, v *Version) *pickedCompaction
-	// AllowTrivialMove reports whether a picked input with no next-level
-	// overlap may be installed as a metadata-only move instead of being
-	// rewritten through the compaction pipeline.
-	AllowTrivialMove() bool
 }
 
 // policyEnv is the picker's view of the engine, assembled once at Open
@@ -226,8 +222,7 @@ func cursorPick(env *policyEnv, v *Version, level int) *TableMeta {
 // round-robin file picking.
 type levelingPolicy struct{}
 
-func (levelingPolicy) Name() string           { return PolicyLeveling }
-func (levelingPolicy) AllowTrivialMove() bool { return true }
+func (levelingPolicy) Name() string { return PolicyLeveling }
 
 func (levelingPolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
 	level := chooseLevel(env, v, levelScores(env.opts, v))
@@ -252,8 +247,7 @@ const (
 
 type lazyLevelingPolicy struct{}
 
-func (lazyLevelingPolicy) Name() string           { return PolicyLazyLeveling }
-func (lazyLevelingPolicy) AllowTrivialMove() bool { return true }
+func (lazyLevelingPolicy) Name() string { return PolicyLazyLeveling }
 
 func (lazyLevelingPolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
 	scores := levelScores(env.opts, v)
@@ -281,8 +275,7 @@ const coldestHotLimit = 1024
 
 type coldestRangePolicy struct{}
 
-func (coldestRangePolicy) Name() string           { return PolicyColdestRange }
-func (coldestRangePolicy) AllowTrivialMove() bool { return true }
+func (coldestRangePolicy) Name() string { return PolicyColdestRange }
 
 func (coldestRangePolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
 	level := chooseLevel(env, v, levelScores(env.opts, v))

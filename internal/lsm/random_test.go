@@ -21,7 +21,6 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	configs := map[string]core.Config{
 		"scp":    {Mode: core.ModeSCP, SubtaskSize: 8 << 10},
 		"pcp":    {Mode: core.ModePCP, SubtaskSize: 8 << 10},
-		"deep":   {Mode: core.ModeDeepPCP, SubtaskSize: 8 << 10},
 		"c-ppcp": {Mode: core.ModePCP, SubtaskSize: 8 << 10, ComputeParallel: 2, IOParallel: 2},
 	}
 	for name, cc := range configs {

@@ -307,7 +307,7 @@ func (c *statsCollector) addCompaction(cs core.Stats) {
 		for st := core.S1Read; st <= core.S7Write; st++ {
 			s.CompactionSteps[st] += cs.Steps.Get(st)
 		}
-		if cs.Mode == core.ModePCP || cs.Mode == core.ModeDeepPCP {
+		if cs.Mode == core.ModePCP {
 			s.PipelinedCompactions++
 		}
 		s.CompactionStageBusy.Read += cs.StageBusy.Read

@@ -123,7 +123,10 @@ func (w *RawWriter) AddSealedBlock(firstKey, lastKey, physical []byte, entries i
 func (w *RawWriter) Offset() int64 { return w.off }
 
 // Finish writes the index block and footer, syncs, and returns the table
-// metadata. The file is left open; the caller closes it.
+// metadata. The file is left open; the caller closes it. The sync is the
+// table's only one: a flush or compaction output is durable once Finish
+// returns, before the manifest references it and the WAL or input tables
+// it replaces are deleted, so callers must not sync again.
 func (w *RawWriter) Finish() (TableMeta, error) {
 	if w.finished {
 		return TableMeta{}, fmt.Errorf("%w: writer already finished", ErrBadTable)
@@ -236,8 +239,8 @@ func (w *Writer) EstimatedSize() int64 {
 // Empty reports whether nothing has been added.
 func (w *Writer) Empty() bool { return !w.haveEntry }
 
-// Finish flushes the final block, writes index and footer, and returns the
-// table metadata.
+// Finish flushes the final block, writes index and footer, syncs (see
+// RawWriter.Finish), and returns the table metadata.
 func (w *Writer) Finish() (TableMeta, error) {
 	if err := w.flush(); err != nil {
 		return TableMeta{}, err

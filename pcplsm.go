@@ -82,8 +82,6 @@ type Compaction struct {
 	// SubtaskBytes is the target input size per pipeline sub-task
 	// (default 512 KiB, the paper's sweet spot).
 	SubtaskBytes int
-	// QueueDepth bounds the inter-stage queues (default 2).
-	QueueDepth int
 	// ComputeWorkers parallelizes the compute stage (C-PPCP when > 1).
 	ComputeWorkers int
 	// IOWorkers parallelizes the read and write stages (S-PPCP when > 1).
@@ -251,7 +249,6 @@ func Open(opts Options) (*DB, error) {
 		Compaction: core.Config{
 			Mode:            mode,
 			SubtaskSize:     int64(opts.Compaction.SubtaskBytes),
-			QueueDepth:      opts.Compaction.QueueDepth,
 			ComputeParallel: opts.Compaction.ComputeWorkers,
 			IOParallel:      opts.Compaction.IOWorkers,
 		},
