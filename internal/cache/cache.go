@@ -24,7 +24,6 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	prewarmed atomic.Int64
 }
 
 const numShards = 16
@@ -127,17 +126,6 @@ func (c *Cache) Put(k Key, val []byte) {
 	}
 }
 
-// PutWarm inserts a pre-warmed block: a compaction output block whose key
-// range was hot among the inputs, cached under the new table's identity
-// before the table becomes readable, so hot data never goes cold across the
-// compaction. Identical to Put except that the insertion is counted in the
-// pre-warm gauge. The admission policy (only hot ranges, bounded total
-// bytes per compaction) is enforced by the caller.
-func (c *Cache) PutWarm(k Key, val []byte) {
-	c.prewarmed.Add(1)
-	c.Put(k, val)
-}
-
 // EvictID drops every block belonging to table id (called when a table is
 // deleted after compaction).
 func (c *Cache) EvictID(id uint64) {
@@ -164,9 +152,6 @@ func (c *Cache) Stats() (hits, misses int64) {
 // Evictions returns the cumulative count of entries dropped — by capacity
 // pressure in Put or by EvictID when a table is deleted.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
-
-// Prewarmed returns the cumulative count of blocks inserted via PutWarm.
-func (c *Cache) Prewarmed() int64 { return c.prewarmed.Load() }
 
 // Capacity returns the effective total byte capacity (after per-shard
 // clamping).

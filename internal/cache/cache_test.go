@@ -187,17 +187,6 @@ func TestEvictionCounters(t *testing.T) {
 	}
 }
 
-func TestPutWarmCounted(t *testing.T) {
-	c := New(1 << 20)
-	c.PutWarm(Key{ID: 3, Offset: 0}, []byte("hot-block"))
-	if c.Prewarmed() != 1 {
-		t.Fatalf("Prewarmed() = %d, want 1", c.Prewarmed())
-	}
-	if got := c.Get(Key{ID: 3, Offset: 0}); string(got) != "hot-block" {
-		t.Fatalf("Get after PutWarm = %q", got)
-	}
-}
-
 func BenchmarkGetHit(b *testing.B) {
 	c := New(64 << 20)
 	val := make([]byte, 4096)

@@ -310,6 +310,39 @@ func TestSingleTableCompaction(t *testing.T) {
 	}
 }
 
+// TestHugeSubtaskKeepsEveryEntry: a sub-task far larger than the input
+// (one sub-task for the whole compaction) must not size any buffer by the
+// sub-task target; the write buffer is bounded by TableSize.
+func TestHugeSubtaskKeepsEveryEntry(t *testing.T) {
+	fs := storage.NewMemFS()
+	upper := genEntries(1000, 10000, 20000, 31)
+	lower := genEntries(1000, 1, 20000, 32)
+	inputs := []*TableSource{
+		buildInputTable(t, fs, "u.sst", append([]kv(nil), upper...), 1024),
+		buildInputTable(t, fs, "l.sst", append([]kv(nil), lower...), 1024),
+	}
+	for name, cfg := range map[string]Config{"scp": {Mode: ModeSCP}, "pcp": {Mode: ModePCP}} {
+		cfg.SubtaskSize = 1 << 40
+		res, err := Run(cfg, inputs, memSink(fs, name+"-"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Stats.Subtasks != 1 {
+			t.Fatalf("%s: %d sub-tasks, want 1", name, res.Stats.Subtasks)
+		}
+		got := collectOutputs(t, fs, res.Outputs)
+		want := referenceMerge([][]kv{upper, lower}, false)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d entries, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestRunNoInputs(t *testing.T) {
 	if _, err := Run(Config{}, nil, memSink(storage.NewMemFS(), "o-")); err != ErrNoInput {
 		t.Fatalf("err = %v, want ErrNoInput", err)

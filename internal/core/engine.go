@@ -87,19 +87,6 @@ type Config struct {
 	// Point reads use the filters to skip tables — the bLSM optimization
 	// from the paper's related work.
 	BloomBitsPerKey int
-	// HotRange, when set, reports whether the key range [first, last]
-	// (internal keys) of a freshly merged output block is currently hot on
-	// the read path. Hot blocks keep their plain (uncompressed) contents in
-	// memory through S7 so WarmOutput can re-seed the block cache under the
-	// output table's identity — the compaction-surviving cache pre-warm.
-	// Called from compute-stage workers, possibly concurrently.
-	HotRange func(first, last []byte) bool
-	// WarmOutput, when set together with HotRange, receives each hot output
-	// block right after S7 lands it: the output table's name, the block's
-	// file offset (the ReadBlockData handle offset), and its plain contents.
-	// The callee takes ownership of plain. Called from write-stage workers,
-	// possibly concurrently.
-	WarmOutput func(name string, offset int64, plain []byte)
 	// CPUDilation, when >= 2, stretches every compute step (S2–S6) by
 	// sleeping (D−1)× its thread CPU time, and charges the step D× that
 	// CPU time. Together with scaling the simulated devices by the same
@@ -297,10 +284,6 @@ type sealedBlock struct {
 	physical    []byte
 	entries     int64
 	hashes      []uint32
-	// plain holds the uncompressed contents when the block's key range is
-	// hot (Config.HotRange) so the write stage can pre-warm the block
-	// cache; nil for cold blocks.
-	plain []byte
 }
 
 // sealedTable groups the sealed blocks of one output table.
@@ -565,16 +548,6 @@ func (e *engine) sealSubtask(bj *builtJob, dil *dilation) (*writeJob, error) {
 		}
 	})
 	dil.settle()
-	// Outside the timed S6 step: decide (via the read-path heat map) which
-	// blocks to carry to the cache pre-warm. The plain data is already in
-	// memory; retaining it costs nothing until S7 hands it off.
-	if e.cfg.HotRange != nil && e.cfg.WarmOutput != nil {
-		for i, b := range bj.outBlocks {
-			if e.cfg.HotRange(b.first, b.last) {
-				sealed[i].plain = b.data
-			}
-		}
-	}
 
 	wj := &writeJob{}
 	var cur sealedTable
@@ -616,30 +589,19 @@ func (e *engine) writeSubtask(wj *writeJob) error {
 		}
 		// Coalesce block writes into large requests, as a buffered file
 		// (or the page cache) would; the device then sees sub-task-sized
-		// writes, matching the paper's S7 I/O granularity.
-		f := storage.NewBufferedFile(rawFile, int(e.cfg.SubtaskSize))
+		// writes, matching the paper's S7 I/O granularity. A table is at
+		// most about TableSize, so a larger buffer would never fill.
+		f := storage.NewBufferedFile(rawFile, int(min(e.cfg.SubtaskSize, e.cfg.TableSize)))
 		var meta sstable.TableMeta
 		var werr error
-		// Hot blocks and their file offsets, handed to WarmOutput once the
-		// table is durable — warming a table that then fails to land would
-		// only waste cache space on unreadable keys.
-		type warmBlock struct {
-			offset int64
-			plain  []byte
-		}
-		var warms []warmBlock
 		e.clock.time(S7Write, func() {
 			w := sstable.NewRawWriter(f, ikey.Compare)
 			w.FilterBitsPerKey = e.cfg.BloomBitsPerKey
 			for _, sb := range tbl.blocks {
-				off := w.Offset()
 				if werr = w.AddSealedBlock(sb.first, sb.last, sb.physical, sb.entries); werr != nil {
 					return
 				}
 				w.AddFilterHashes(sb.hashes)
-				if sb.plain != nil && e.cfg.WarmOutput != nil {
-					warms = append(warms, warmBlock{offset: off, plain: sb.plain})
-				}
 			}
 			meta, werr = w.Finish()
 		})
@@ -648,9 +610,6 @@ func (e *engine) writeSubtask(wj *writeJob) error {
 		}
 		if werr != nil {
 			return fmt.Errorf("core: S7 writing %s: %w", name, werr)
-		}
-		for _, wb := range warms {
-			e.cfg.WarmOutput(name, wb.offset, wb.plain)
 		}
 		e.outputBytes.Add(meta.FileSize)
 		e.outMu.Lock()

@@ -23,7 +23,7 @@ func crashSeedBase(t *testing.T) int64 {
 
 // crashPolicyCycle rotates the compaction-policy dimension across cycles:
 // the auto-tuned default plus each pinned policy.
-var crashPolicyCycle = []string{"", lsm.PolicyLeveling, lsm.PolicyLazyLeveling, lsm.PolicyColdestRange}
+var crashPolicyCycle = []string{"", lsm.PolicyLeveling, lsm.PolicyLazyLeveling}
 
 // crashPolicy selects the compaction policy for cycle i: the CI policy
 // matrix pins one via PCPLSM_CRASH_POLICY, otherwise cycles rotate through

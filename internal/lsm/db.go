@@ -25,11 +25,6 @@ var ErrClosed = errors.New("lsm: database is closed")
 // ErrNotFound is returned by Get when the key does not exist.
 var ErrNotFound = errors.New("lsm: key not found")
 
-// heatHotThreshold is the minimum access count that marks a block key range
-// hot for compaction pre-warming. 2 keeps one-pass scans (each block touched
-// exactly once) from flagging the whole key space.
-const heatHotThreshold = 2
-
 // walFileName renders the name of WAL number num.
 func walFileName(num uint64) string { return fmt.Sprintf("%06d.log", num) }
 
@@ -39,7 +34,6 @@ type DB struct {
 	fs     storage.FS
 	vs     *versionSet
 	bcache *cache.Cache
-	heat   *cache.Heat // nil when there is no block cache
 	cache  *tableCache
 	man    *manifest
 	stats  statsCollector
@@ -138,18 +132,15 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.New("lsm: Options.FS is required")
 	}
 	var blockCache *cache.Cache
-	var heat *cache.Heat
 	if opts.BlockCacheBytes > 0 {
 		blockCache = cache.New(opts.BlockCacheBytes)
-		heat = cache.NewHeat()
 	}
 	db := &DB{
 		opts:           opts,
 		fs:             opts.FS,
 		vs:             newVersionSet(),
 		bcache:         blockCache,
-		heat:           heat,
-		cache:          newTableCache(opts.FS, blockCache, heat),
+		cache:          newTableCache(opts.FS, blockCache),
 		snapshots:      map[uint64]int{},
 		quarantine:     map[uint64]struct{}{},
 		pendingOutputs: map[uint64]struct{}{},
@@ -171,9 +162,9 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.policy = pol
 	db.penv = &policyEnv{opts: &db.opts, free: db.levelPairFree, cursor: &db.compactPtr,
-		heat: heat, quarantined: db.quarantinedLocked}
+		quarantined: db.quarantinedLocked}
 	if tune {
-		db.tuner = newPolicyTuner(polName, tunerWindow, heat != nil)
+		db.tuner = newPolicyTuner(polName, tunerWindow)
 	}
 	db.governor = newPipelineGovernor(opts.PipelineComputeTokens,
 		max(1, opts.PipelineIOTokens))
@@ -783,7 +774,6 @@ func (db *DB) Stats() Stats {
 	if db.bcache != nil {
 		s.BlockCacheHits, s.BlockCacheMisses = db.bcache.Stats()
 		s.BlockCacheEvictions = db.bcache.Evictions()
-		s.BlockCachePrewarmed = db.bcache.Prewarmed()
 		s.BlockCacheBytes = db.bcache.Size()
 		s.BlockCacheCapacity = db.bcache.Capacity()
 	}
@@ -1116,37 +1106,6 @@ func (db *DB) runCompaction(pc *pickedCompaction, claim *compactionClaim) error 
 		}
 	}
 
-	// Compaction-surviving cache: snapshot the read heat and have the write
-	// stage hand back (still in memory, already decompressed) every output
-	// block covering a hot range, inserted under the new table's identity
-	// before the version edit installs. Cold output is never admitted, and
-	// at most half the cache may be pre-warmed by one compaction so a large
-	// merge cannot flush an unrelated working set.
-	if db.heat != nil {
-		// Cap the hot set at a quarter of the cache's block count: only the
-		// hottest ranges are worth re-admitting, and a loose set would churn
-		// the cache with zipf-tail blocks that were touched a couple of times.
-		hotLimit := int(db.bcache.Capacity() / int64(4*db.opts.BlockSize))
-		if hotLimit < 1 {
-			hotLimit = 1
-		}
-		if hot := db.heat.Snapshot(heatHotThreshold, hotLimit); hot.Len() > 0 {
-			var warmedBytes atomic.Int64
-			budget := db.bcache.Capacity() / 2
-			cfg.HotRange = func(first, last []byte) bool {
-				return hot.AnyInRange(ikey.UserKey(first), ikey.UserKey(last))
-			}
-			cfg.WarmOutput = func(name string, offset int64, plain []byte) {
-				if warmedBytes.Add(int64(len(plain))) > budget {
-					return
-				}
-				if num, perr := parseTableNum(name); perr == nil {
-					db.bcache.PutWarm(cache.Key{ID: num, Offset: offset}, plain)
-				}
-			}
-		}
-	}
-
 	// Register every output as pending so obsolete-file sweeps leave the
 	// half-built tables alone; the registration is dropped once the edit is
 	// installed (or the compaction fails).
@@ -1298,7 +1257,7 @@ func (db *DB) CompactLevel(level int) error {
 		// The same round-robin cursor the background picker uses, so manual
 		// level compactions rotate through the level (and advance the
 		// persisted cursor) exactly like automatic ones.
-		return pickInputs(db.penv, v, level, cursorPick)
+		return pickInputs(db.penv, v, level)
 	})
 	db.mu.Unlock()
 	if werr != nil || pc == nil {

@@ -53,14 +53,12 @@ type Options struct {
 	// CompactionPolicy pins which compaction runs (as opposed to how it
 	// runs — that is Compaction below) by name: "leveling" (LevelDB-style
 	// normalized fullness triggers, round-robin file picking),
-	// "lazy-leveling" (a tiering posture at the upper levels: fewer,
-	// larger merges, lower write amplification), or "coldest-range"
-	// (leveling triggers, but file picking steered by the block-cache
-	// heat map so compactions churn cold data). Empty selects leveling
+	// or "lazy-leveling" (a tiering posture at the upper levels: fewer,
+	// larger merges, lower write amplification). Empty selects leveling
 	// with the metrics-driven self-tuner enabled: the DB samples its own
-	// stall/write-amp/read-mix counters over a sliding window and
-	// switches policies as the workload shifts. Naming a policy disables
-	// the tuner — the escape hatch to pin behaviour.
+	// stall/denial/retry and write-amp counters over a sliding window and
+	// switches policies as write pressure comes and goes. Naming a policy
+	// disables the tuner — the escape hatch to pin behaviour.
 	CompactionPolicy string
 
 	// DisableTrivialMove forces every picked compaction through the full
@@ -111,14 +109,9 @@ type Options struct {
 	// cache. Positive values are clamped to at least cache.MinShardBytes
 	// per shard (1 MiB total for the 16-shard cache) — smaller settings
 	// used to round to a per-shard capacity of a few bytes and silently
-	// cache nothing. Compaction I/O always bypasses the cache on the read
-	// side. On the write side the cache survives compactions: the DB tracks
-	// per-key-range read heat and, when a compaction output block covers a
-	// hot range, inserts the block (already in memory inside the compaction
-	// pipeline) under the new table's identity before the version edit
-	// installs. Cold output is never admitted, and at most half the cache's
-	// capacity is pre-warmed per compaction, so compaction output cannot
-	// flush the read working set.
+	// cache nothing. Compaction I/O bypasses the cache on both sides: inputs
+	// are streamed once and output blocks are cached only when reads load
+	// them.
 	BlockCacheBytes int64
 
 	// SyncWAL forces an fsync per commit group. Concurrent writers are

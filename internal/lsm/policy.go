@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 
-	"pcplsm/internal/cache"
 	"pcplsm/internal/ikey"
 )
 
@@ -37,10 +36,6 @@ const (
 	// at the tree's bottom. Fewer, larger merges — lower write
 	// amplification at the cost of read amplification.
 	PolicyLazyLeveling = "lazy-leveling"
-	// PolicyColdestRange triggers like leveling but picks the table whose
-	// key range is coldest per the block-cache heat map, so compactions
-	// churn cold data and hot ranges keep their cached blocks.
-	PolicyColdestRange = "coldest-range"
 )
 
 // CompactionPolicy decides which compaction to run: trigger scoring (is
@@ -63,7 +58,6 @@ type policyEnv struct {
 	opts   *Options
 	free   func(level int) bool // levelPairFree: is the {L, L+1} pair unclaimed
 	cursor *[NumLevels][]byte   // per-level round-robin compaction cursors
-	heat   *cache.Heat          // nil without a block cache
 	// quarantined reports whether a table failed integrity verification and
 	// was isolated; the pickers skip such tables and refuse any pick whose
 	// overlap would merge through one. Nil means "nothing quarantined".
@@ -82,23 +76,17 @@ func newPolicy(name string) (CompactionPolicy, error) {
 		return levelingPolicy{}, nil
 	case PolicyLazyLeveling:
 		return lazyLevelingPolicy{}, nil
-	case PolicyColdestRange:
-		return coldestRangePolicy{}, nil
 	}
 	return nil, fmt.Errorf("lsm: unknown compaction policy %q", name)
 }
 
 // policyIndex maps a policy name to the stable lsm_policy_active metric
-// value (0 leveling, 1 lazy-leveling, 2 coldest-range).
+// value (0 leveling, 1 lazy-leveling).
 func policyIndex(name string) int64 {
-	switch name {
-	case PolicyLazyLeveling:
+	if name == PolicyLazyLeveling {
 		return 1
-	case PolicyColdestRange:
-		return 2
-	default:
-		return 0
 	}
+	return 0
 }
 
 // levelScores returns each level's compaction urgency in commensurate
@@ -156,12 +144,11 @@ func chooseLevel(env *policyEnv, v *Version, scores [NumLevels]float64) int {
 
 // pickInputs assembles the inputs for a compaction at level: every L0 run
 // (they may overlap each other), or the single table of a deeper level
-// chosen by pickFile, plus the next level's overlap. A pick that would
+// chosen by cursorPick, plus the next level's overlap. A pick that would
 // read a quarantined table is refused: merging through one would only
 // re-read the damage (and fail the compaction), so its slice of the key
 // space stays frozen until the quarantine is lifted.
-func pickInputs(env *policyEnv, v *Version, level int,
-	pickFile func(env *policyEnv, v *Version, level int) *TableMeta) *pickedCompaction {
+func pickInputs(env *policyEnv, v *Version, level int) *pickedCompaction {
 	pc := &pickedCompaction{level: level}
 	if level == 0 {
 		// An L0 compaction takes every run; one quarantined run blocks them
@@ -173,7 +160,7 @@ func pickInputs(env *policyEnv, v *Version, level int,
 		}
 		pc.inputs = append(pc.inputs, v.Levels[0]...)
 	} else {
-		t := pickFile(env, v, level)
+		t := cursorPick(env, v, level)
 		if t == nil {
 			return nil
 		}
@@ -229,7 +216,7 @@ func (levelingPolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
 	if level < 0 {
 		return nil
 	}
-	return pickInputs(env, v, level, cursorPick)
+	return pickInputs(env, v, level)
 }
 
 // Lazy-leveling knobs: L0 merges after lazyL0Factor× the configured
@@ -266,56 +253,5 @@ func (lazyLevelingPolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
 	if level < 0 {
 		return nil
 	}
-	return pickInputs(env, v, level, cursorPick)
-}
-
-// coldestHotLimit caps how many heat samples a coldest-range pick
-// consults; beyond the hottest few hundred ranges the signal is noise.
-const coldestHotLimit = 1024
-
-type coldestRangePolicy struct{}
-
-func (coldestRangePolicy) Name() string { return PolicyColdestRange }
-
-func (coldestRangePolicy) Pick(env *policyEnv, v *Version) *pickedCompaction {
-	level := chooseLevel(env, v, levelScores(env.opts, v))
-	if level < 0 {
-		return nil
-	}
-	return pickInputs(env, v, level, coldestPick)
-}
-
-// coldestPick prefers a table whose key range holds no read-hot keys per
-// the block-cache heat map, so compaction rewrites (which renumber files
-// and churn the cache) land on cold data and the hot working set keeps
-// its cached blocks. The scan starts at the round-robin cursor so
-// equally-cold tables still rotate; with no heat data, or when every
-// table covers a hot range, it degrades to the plain cursor pick.
-func coldestPick(env *policyEnv, v *Version, level int) *TableMeta {
-	first := cursorPick(env, v, level)
-	tables := v.Levels[level]
-	if env.heat == nil || first == nil || len(tables) < 2 {
-		return first
-	}
-	hot := env.heat.Snapshot(heatHotThreshold, coldestHotLimit)
-	if hot.Len() == 0 {
-		return first
-	}
-	idx := 0
-	for i, t := range tables {
-		if t == first {
-			idx = i
-			break
-		}
-	}
-	for i := 0; i < len(tables); i++ {
-		t := tables[(idx+i)%len(tables)]
-		if env.isQuarantined(t.Num) {
-			continue
-		}
-		if !hot.AnyInRange(ikey.UserKey(t.Smallest), ikey.UserKey(t.Largest)) {
-			return t
-		}
-	}
-	return first
+	return pickInputs(env, v, level)
 }

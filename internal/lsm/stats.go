@@ -25,9 +25,10 @@ type Stats struct {
 	BlockCacheHits   int64 `metric:"lsm_block_cache_hits"`
 	BlockCacheMisses int64 `metric:"lsm_block_cache_misses"`
 	// BlockCacheEvictions counts blocks dropped from the cache (capacity
-	// pressure plus dead-table eviction); BlockCachePrewarmed counts
-	// compaction output blocks the pre-warm path inserted.
+	// pressure plus dead-table eviction).
 	BlockCacheEvictions int64 `metric:"lsm_block_cache_evictions"`
+	// BlockCachePrewarmed always reads 0: compaction no longer pre-warms
+	// the cache. The field stays only while the benchmark still reads it.
 	BlockCachePrewarmed int64 `metric:"lsm_block_cache_prewarmed"`
 	// BlockCacheBytes/Capacity are the cache's current fill and limit.
 	BlockCacheBytes    int64 `metric:"lsm_block_cache_bytes"`

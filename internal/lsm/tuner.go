@@ -5,8 +5,6 @@ package lsm
 // compaction), and the tuner classifies the workload from a sliding
 // window of those samples:
 //
-//   - read-heavy (point reads dominating writes, heat map available) →
-//     coldest-range, so compactions stop churning the hot working set;
 //   - write-pressured (stalls, governor denials, or background retries in
 //     the window) with high write amplification → lazy-leveling, trading
 //     read amplification for fewer, larger merges;
@@ -25,8 +23,6 @@ import "time"
 // tunerSample is one window entry: deltas of the cumulative Stats
 // counters since the previous sample.
 type tunerSample struct {
-	Writes            int64 // puts + deletes
-	Gets              int64
 	FlushBytes        int64
 	CompactionInput   int64
 	CompactionOutput  int64
@@ -39,8 +35,6 @@ type tunerSample struct {
 // deltaSample subtracts two cumulative Stats snapshots into one sample.
 func deltaSample(prev, cur Stats) tunerSample {
 	return tunerSample{
-		Writes:            (cur.Puts + cur.Deletes) - (prev.Puts + prev.Deletes),
-		Gets:              cur.Gets - prev.Gets,
 		FlushBytes:        cur.FlushBytes - prev.FlushBytes,
 		CompactionInput:   cur.CompactionInputBytes - prev.CompactionInputBytes,
 		CompactionOutput:  cur.CompactionOutputBytes - prev.CompactionOutputBytes,
@@ -61,9 +55,6 @@ const (
 	// tunerConfirmations is the hysteresis: consecutive evaluations that
 	// must agree before a switch is applied.
 	tunerConfirmations = 2
-	// readHeavyFactor: the window is read-heavy when gets exceed this
-	// multiple of writes.
-	readHeavyFactor = 4
 	// lazyWriteAmpThreshold: the window's (flush+compaction output)/flush
 	// byte ratio above which write pressure escalates to lazy-leveling.
 	// 1.0 means compactions wrote nothing beyond the flushes themselves.
@@ -73,10 +64,9 @@ const (
 // policyTuner holds the sliding window and the hysteresis state. It is
 // not self-synchronizing: the DB serializes observe calls under tunerMu.
 type policyTuner struct {
-	window  []tunerSample // ring buffer
-	next    int
-	filled  int
-	hasHeat bool // heat map available → coldest-range is meaningful
+	window []tunerSample // ring buffer
+	next   int
+	filled int
 
 	current  string // policy the tuner currently wants active
 	pending  string // candidate verdict awaiting confirmation
@@ -85,8 +75,8 @@ type policyTuner struct {
 
 // newPolicyTuner starts a tuner at policy start with a window of window
 // samples (tunerWindow in the DB; at least minTunerSamples).
-func newPolicyTuner(start string, window int, hasHeat bool) *policyTuner {
-	return &policyTuner{window: make([]tunerSample, window), hasHeat: hasHeat, current: start}
+func newPolicyTuner(start string, window int) *policyTuner {
+	return &policyTuner{window: make([]tunerSample, window), current: start}
 }
 
 // observe folds one sample into the window and returns the policy the
@@ -122,27 +112,16 @@ func (t *policyTuner) evaluate() string {
 	var agg tunerSample
 	for i := 0; i < t.filled; i++ {
 		s := t.window[i]
-		agg.Writes += s.Writes
-		agg.Gets += s.Gets
 		agg.FlushBytes += s.FlushBytes
 		agg.CompactionOutput += s.CompactionOutput
 		agg.StallCount += s.StallCount
 		agg.BackgroundRetries += s.BackgroundRetries
 		agg.GovernorDenials += s.GovernorDenials
 	}
-	writes := agg.Writes
-	if writes < 1 {
-		writes = 1
-	}
-	readHeavy := agg.Gets >= readHeavyFactor*writes
 	writePressure := agg.StallCount > 0 || agg.GovernorDenials > 0 || agg.BackgroundRetries > 0
 	writeAmp := float64(agg.FlushBytes+agg.CompactionOutput) / float64(max(1, agg.FlushBytes))
-	switch {
-	case readHeavy && t.hasHeat:
-		return PolicyColdestRange
-	case writePressure && writeAmp >= lazyWriteAmpThreshold:
+	if writePressure && writeAmp >= lazyWriteAmpThreshold {
 		return PolicyLazyLeveling
-	default:
-		return PolicyLeveling
 	}
+	return PolicyLeveling
 }

@@ -326,7 +326,6 @@ func (v *Version) checkInvariants() error {
 type tableCache struct {
 	fs     storage.FS
 	blocks *cache.Cache // nil = no block cache
-	heat   *cache.Heat  // nil = no read-heat tracking
 	mu     sync.Mutex
 	m      map[uint64]*tableEntry
 }
@@ -362,8 +361,8 @@ func (h tableHandle) Close() {
 	}
 }
 
-func newTableCache(fs storage.FS, blocks *cache.Cache, heat *cache.Heat) *tableCache {
-	return &tableCache{fs: fs, blocks: blocks, heat: heat, m: map[uint64]*tableEntry{}}
+func newTableCache(fs storage.FS, blocks *cache.Cache) *tableCache {
+	return &tableCache{fs: fs, blocks: blocks, m: map[uint64]*tableEntry{}}
 }
 
 // Get leases a reader for table num, opening it if needed. Callers must
@@ -390,14 +389,6 @@ func (c *tableCache) Get(num uint64) (tableHandle, error) {
 	}
 	if c.blocks != nil {
 		r.SetBlockCache(c.blocks, num)
-	}
-	if c.heat != nil {
-		// Heat samples are keyed by user key, not table number, so they
-		// survive the file renumbering a compaction performs.
-		h := c.heat
-		r.SetAccessHook(func(blockLastKey []byte) {
-			h.Touch(ikey.UserKey(blockLastKey))
-		})
 	}
 	c.mu.Lock()
 	if e, ok := c.m[num]; ok {

@@ -132,37 +132,3 @@ func TestReadaheadWithBlockCache(t *testing.T) {
 			hits1-hits0, r.NumBlocks(), misses1)
 	}
 }
-
-// TestAccessHookFiresPerBlockLoad: the heat hook sees each block's last
-// key when the read path loads it.
-func TestAccessHookFiresPerBlockLoad(t *testing.T) {
-	fs := storage.NewMemFS()
-	kvs := multiBlockKVs(500)
-	buildTable(t, fs, "t.sst", WriterOptions{BlockSize: 512}, kvs)
-	r := openTable(t, fs, "t.sst")
-	defer r.Close()
-
-	var touched []string
-	r.SetAccessHook(func(last []byte) { touched = append(touched, string(last)) })
-	it := r.NewIter()
-	n := 0
-	for ok := it.First(); ok; ok = it.Next() {
-		n++
-	}
-	if len(touched) != r.NumBlocks() {
-		t.Fatalf("hook fired %d times over %d blocks", len(touched), r.NumBlocks())
-	}
-	if touched[0] != string(r.IndexEntries()[0].LastKey) {
-		t.Fatalf("first touch %q != first block last key", touched[0])
-	}
-
-	// A point Seek loads exactly one block (plus none beyond).
-	touched = nil
-	it2 := r.NewIter()
-	if !it2.Seek([]byte(kvs[250][0])) {
-		t.Fatal("Seek failed")
-	}
-	if len(touched) != 1 {
-		t.Fatalf("point seek touched %d blocks, want 1", len(touched))
-	}
-}

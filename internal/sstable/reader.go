@@ -31,9 +31,8 @@ type Reader struct {
 	filterOnce   sync.Once
 	filter       []byte // loaded lazily; nil if absent or unreadable
 
-	bcache   *cache.Cache
-	cacheID  uint64
-	onAccess func(blockLastKey []byte)
+	bcache  *cache.Cache
+	cacheID uint64
 }
 
 // SetBlockCache attaches a shared block cache; id must uniquely identify
@@ -43,15 +42,6 @@ type Reader struct {
 func (r *Reader) SetBlockCache(c *cache.Cache, id uint64) {
 	r.bcache = c
 	r.cacheID = id
-}
-
-// SetAccessHook installs a callback invoked with a block's last key each
-// time the read path loads that data block (cache hit or miss). The LSM
-// layer uses it to feed the key-range heat map that guides compaction-time
-// cache pre-warming. The hook must be cheap and safe for concurrent use;
-// the key slice is owned by the reader and must not be retained.
-func (r *Reader) SetAccessHook(f func(blockLastKey []byte)) {
-	r.onAccess = f
 }
 
 // NewReader opens a table: it reads the footer, loads and parses the index
@@ -597,9 +587,6 @@ func (it *Iter) loadBlock(i int) bool {
 	}
 	it.blockIdx = i
 	it.biSet = true
-	if it.r.onAccess != nil {
-		it.r.onAccess(it.r.entries[i].LastKey)
-	}
 	it.scheduleReadahead(i)
 	return true
 }

@@ -127,15 +127,15 @@ type Options struct {
 	// setting. Values are clamped to [1, 64] and rounded up to a power of
 	// two.
 	MemtableShards int
-	// Compression is "snappy" (default), "flate" or "none".
+	// Compression is "none", "snappy" or "flate". Empty means "none":
+	// tables are written uncompressed unless a codec is named.
 	Compression string
 	// BloomBitsPerKey sizes per-table Bloom filters (0 = default 10 bits
 	// per key, negative disables).
 	BloomBitsPerKey int
 	// BlockCacheBytes caps the decompressed-block read cache (0 = default
-	// 8 MiB, negative disables). Compactions re-insert output blocks whose
-	// key ranges were hot in the inputs, so the working set stays cached
-	// across file renumbering.
+	// 8 MiB, negative disables). Compactions bypass it: output tables are
+	// cached only as point reads and scans load their blocks.
 	BlockCacheBytes int
 
 	// BackgroundWorkers sizes the background scheduler's worker pool
@@ -151,9 +151,9 @@ type Options struct {
 
 	// DisableAutoCompaction turns the background scheduler off.
 	DisableAutoCompaction bool
-	// CompactionPolicy pins the picker: "leveling", "lazy-leveling" or
-	// "coldest-range". Empty enables the metrics-driven self-tuner, which
-	// switches between them as the workload shifts.
+	// CompactionPolicy pins the picker: "leveling" or "lazy-leveling".
+	// Empty enables the metrics-driven self-tuner, which switches between
+	// them as write pressure comes and goes.
 	CompactionPolicy string
 	// DisableTrivialMove forces full rewrites even when a compaction input
 	// overlaps nothing in the target level (by default such tables move by

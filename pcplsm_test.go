@@ -281,3 +281,33 @@ func TestCompactRangePublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyCompressionIsNone: a zero Options.Compression writes the same
+// uncompressed tables as naming "none"; "snappy" must be asked for.
+func TestEmptyCompressionIsNone(t *testing.T) {
+	flushBytes := func(compression string) int64 {
+		t.Helper()
+		db, err := Open(Options{Compression: compression, DisableAutoCompaction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		val := make([]byte, 200)
+		for i := 0; i < 5000; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("k%05d", i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().FlushBytes
+	}
+	empty, none, snappy := flushBytes(""), flushBytes("none"), flushBytes("snappy")
+	if empty != none {
+		t.Fatalf("Compression \"\" flushed %d bytes, \"none\" %d", empty, none)
+	}
+	if snappy >= none {
+		t.Fatalf("snappy flushed %d bytes, not less than none's %d", snappy, none)
+	}
+}
